@@ -6,6 +6,7 @@
 #include "util/bitset.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
+#include "util/hash.h"
 
 namespace prefcover {
 
@@ -15,25 +16,6 @@ constexpr char kMagic[8] = {'P', 'C', 'C', 'K', 'P', 'T', '0', '1'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderSize = 8 + 4 + 8 + 8 + 1 + 8 + 8;
 constexpr size_t kFooterSize = 4;  // CRC-32
-
-class Fnv1a {
- public:
-  void Update(const void* data, size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  template <typename T>
-  void UpdateScalar(T value) {
-    Update(&value, sizeof(T));
-  }
-  uint64_t digest() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
 
 void AppendScalar(std::string* out, const void* data, size_t size) {
   out->append(static_cast<const char*>(data), size);
@@ -52,26 +34,6 @@ T ReadScalarAt(const std::string& data, size_t offset) {
 }
 
 }  // namespace
-
-uint64_t GraphDigest(const PreferenceGraph& graph) {
-  Fnv1a hash;
-  const uint64_t n = graph.NumNodes();
-  const uint64_t m = graph.NumEdges();
-  hash.UpdateScalar(n);
-  hash.UpdateScalar(m);
-  for (NodeId v = 0; v < n; ++v) {
-    hash.UpdateScalar(graph.NodeWeight(v));
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    AdjacencyView adj = graph.OutNeighbors(v);
-    hash.UpdateScalar(static_cast<uint32_t>(adj.size()));
-    for (size_t i = 0; i < adj.size(); ++i) {
-      hash.UpdateScalar(adj.nodes[i]);
-      hash.UpdateScalar(adj.weights[i]);
-    }
-  }
-  return hash.digest();
-}
 
 uint64_t GreedyOptionsHash(const GreedyOptions& options, size_t k) {
   Fnv1a hash;

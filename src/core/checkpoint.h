@@ -64,9 +64,11 @@ struct Checkpoint {
 };
 
 /// \brief Order-sensitive FNV-1a digest of a preference graph (node
-/// count, weights, CSR adjacency with edge weights). O(n + m); computed
-/// once per checkpointed solve and once per resume validation.
-uint64_t GraphDigest(const PreferenceGraph& graph);
+/// count, weights, CSR adjacency with edge weights): PreferenceGraph::
+/// Digest, which the graph computes once when it is finalized. O(1).
+inline uint64_t GraphDigest(const PreferenceGraph& graph) {
+  return graph.Digest();
+}
 
 /// \brief Digest of everything that determines the greedy selection
 /// order: k, variant, stop_at_cover, force_include, force_exclude.

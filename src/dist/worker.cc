@@ -117,8 +117,7 @@ std::string DistWorker::HandleInit(const std::string& args) {
   // loaded its own copy of the graph); the options hash rides along so a
   // coordinator recovering from a worker's `ckpt` can cross-check it
   // against its own GreedyOptionsHash.
-  if (!graph_digest_.has_value()) graph_digest_ = GraphDigest(*graph_);
-  if (*digest != *graph_digest_) {
+  if (*digest != GraphDigest(*graph_)) {
     return Err(Status::FailedPrecondition(
         "graph digest mismatch: coordinator solves a different instance"));
   }

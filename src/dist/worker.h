@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,9 +72,6 @@ class DistWorker {
   std::string ProposalFields();
 
   const PreferenceGraph* graph_;
-  // GraphDigest of *graph_, computed on the first `init` (O(n + m), so
-  // cached for the rebalance re-inits).
-  std::optional<uint64_t> graph_digest_;
 
   // Solve state; null until the first successful `init`.
   std::unique_ptr<CoverState> state_;

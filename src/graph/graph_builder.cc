@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 namespace prefcover {
 
@@ -15,7 +16,6 @@ void GraphBuilder::Reserve(size_t num_nodes, size_t num_edges) {
 NodeId GraphBuilder::AddNode(double weight, std::string label) {
   NodeId id = static_cast<NodeId>(node_weights_.size());
   node_weights_.push_back(weight);
-  if (!label.empty()) any_label_ = true;
   labels_.push_back(std::move(label));
   return id;
 }
@@ -78,10 +78,44 @@ Status GraphBuilder::NormalizeNodeWeights() {
 
 Result<PreferenceGraph> GraphBuilder::Finalize(
     const GraphValidationOptions& options) {
+  // Bucket the edges by source (a stable counting sort, so each list
+  // keeps insertion order until FinalizeCsr sorts it).
   const size_t n = node_weights_.size();
+  OutCsr csr;
+  csr.offsets.assign(n + 1, 0);
+  for (const Edge& e : edges_) ++csr.offsets[e.from + 1];
+  for (size_t v = 0; v < n; ++v) csr.offsets[v + 1] += csr.offsets[v];
+  csr.targets.resize(edges_.size());
+  csr.weights.resize(edges_.size());
+  {
+    std::vector<size_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
+    for (const Edge& e : edges_) {
+      const size_t idx = cursor[e.from]++;
+      csr.targets[idx] = e.to;
+      csr.weights[idx] = e.weight;
+    }
+  }
+  csr.node_weights = std::move(node_weights_);
+  csr.labels = std::move(labels_);
+
+  // Leave the builder reusable-but-empty.
+  node_weights_.clear();
+  labels_.clear();
+  std::vector<Edge>().swap(edges_);
+  edge_index_.clear();
+
+  return FinalizeCsr(std::move(csr), options);
+}
+
+Result<PreferenceGraph> GraphBuilder::FinalizeCsr(
+    OutCsr csr, const GraphValidationOptions& options,
+    std::optional<uint64_t> digest) {
+  const size_t n = csr.node_weights.size();
+  PREFCOVER_DCHECK(csr.offsets.size() == n + 1);
+  PREFCOVER_DCHECK(csr.labels.empty() || csr.labels.size() == n);
 
   for (size_t v = 0; v < n; ++v) {
-    double w = node_weights_[v];
+    double w = csr.node_weights[v];
     if (!(w >= 0.0) || w > 1.0 || std::isnan(w)) {
       return Status::InvalidArgument("node " + std::to_string(v) +
                                      " weight out of [0,1]: " +
@@ -90,7 +124,7 @@ Result<PreferenceGraph> GraphBuilder::Finalize(
   }
   if (options.require_normalized_node_weights) {
     double sum = 0.0;
-    for (double w : node_weights_) sum += w;
+    for (double w : csr.node_weights) sum += w;
     if (std::fabs(sum - 1.0) > options.weight_sum_tolerance) {
       return Status::InvalidArgument(
           "node weights must sum to 1 (got " + std::to_string(sum) +
@@ -98,82 +132,90 @@ Result<PreferenceGraph> GraphBuilder::Finalize(
     }
   }
 
-  for (const Edge& e : edges_) {
-    if (!options.allow_self_loops && e.from == e.to) {
-      return Status::InvalidArgument("self-loop on node " +
-                                     std::to_string(e.from));
-    }
-    if (!(e.weight > 0.0) || e.weight > 1.0 + 1e-12 || std::isnan(e.weight)) {
-      return Status::InvalidArgument(
-          "edge (" + std::to_string(e.from) + ", " + std::to_string(e.to) +
-          ") weight out of (0,1]: " + std::to_string(e.weight));
+  for (size_t v = 0; v < n; ++v) {
+    for (size_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+      const NodeId to = csr.targets[i];
+      const double w = csr.weights[i];
+      if (!options.allow_self_loops && to == v) {
+        return Status::InvalidArgument("self-loop on node " +
+                                       std::to_string(v));
+      }
+      if (!(w > 0.0) || w > 1.0 + 1e-12 || std::isnan(w)) {
+        return Status::InvalidArgument(
+            "edge (" + std::to_string(v) + ", " + std::to_string(to) +
+            ") weight out of (0,1]: " + std::to_string(w));
+      }
     }
   }
 
-  // Sort edges by (from, to) to build the out-CSR and detect duplicates.
-  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-    if (a.from != b.from) return a.from < b.from;
-    return a.to < b.to;
-  });
-  for (size_t i = 1; i < edges_.size(); ++i) {
-    if (edges_[i].from == edges_[i - 1].from &&
-        edges_[i].to == edges_[i - 1].to) {
-      return Status::InvalidArgument(
-          "duplicate edge (" + std::to_string(edges_[i].from) + ", " +
-          std::to_string(edges_[i].to) + ")");
+  // Lists must be in ascending target order. A .pcg file stores them that
+  // way, so usually this is one comparison per edge; a list that is not
+  // gets sorted, which also lines up any repeated edge for rejection.
+  bool reordered = false;
+  std::vector<std::pair<NodeId, double>> scratch;
+  for (size_t v = 0; v < n; ++v) {
+    const size_t b = csr.offsets[v], e = csr.offsets[v + 1];
+    size_t i = b + 1;
+    while (i < e && csr.targets[i - 1] < csr.targets[i]) ++i;
+    if (i >= e) continue;
+    scratch.clear();
+    for (size_t j = b; j < e; ++j) {
+      scratch.emplace_back(csr.targets[j], csr.weights[j]);
     }
+    std::sort(scratch.begin(), scratch.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (size_t j = b; j < e; ++j) {
+      csr.targets[j] = scratch[j - b].first;
+      csr.weights[j] = scratch[j - b].second;
+      if (j > b && csr.targets[j] == csr.targets[j - 1]) {
+        return Status::InvalidArgument("duplicate edge (" + std::to_string(v) +
+                                       ", " + std::to_string(csr.targets[j]) +
+                                       ")");
+      }
+    }
+    reordered = true;
   }
 
   if (options.require_normalized_out_weights) {
-    // Edges are sorted by source, so per-node sums are contiguous scans.
-    size_t i = 0;
-    while (i < edges_.size()) {
-      size_t j = i;
+    for (size_t v = 0; v < n; ++v) {
       double sum = 0.0;
-      while (j < edges_.size() && edges_[j].from == edges_[i].from) {
-        sum += edges_[j].weight;
-        ++j;
+      for (size_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+        sum += csr.weights[i];
       }
       if (sum > 1.0 + options.weight_sum_tolerance) {
         return Status::InvalidArgument(
             "Normalized variant requires out-weight sum <= 1; node " +
-            std::to_string(edges_[i].from) + " has " + std::to_string(sum));
+            std::to_string(v) + " has " + std::to_string(sum));
       }
-      i = j;
     }
   }
 
   PreferenceGraph g;
-  g.node_weights_ = std::move(node_weights_);
-  if (any_label_) g.labels_ = std::move(labels_);
-
-  const size_t m = edges_.size();
-  g.out_offsets_.assign(n + 1, 0);
-  g.out_targets_.resize(m);
-  g.out_weights_.resize(m);
-  for (const Edge& e : edges_) ++g.out_offsets_[e.from + 1];
-  for (size_t v = 0; v < n; ++v) g.out_offsets_[v + 1] += g.out_offsets_[v];
-  {
-    // Edges are already sorted by (from, to); fill sequentially.
-    size_t idx = 0;
-    for (const Edge& e : edges_) {
-      g.out_targets_[idx] = e.to;
-      g.out_weights_[idx] = e.weight;
-      ++idx;
-    }
+  g.node_weights_ = std::move(csr.node_weights);
+  if (std::any_of(csr.labels.begin(), csr.labels.end(),
+                  [](const std::string& label) { return !label.empty(); })) {
+    g.labels_ = std::move(csr.labels);
   }
+  g.out_offsets_ = std::move(csr.offsets);
+  g.out_targets_ = std::move(csr.targets);
+  g.out_weights_ = std::move(csr.weights);
 
+  // In-CSR: scattering the out-lists in source order leaves every in-list
+  // in ascending source order.
+  const size_t m = g.out_targets_.size();
   g.in_offsets_.assign(n + 1, 0);
   g.in_sources_.resize(m);
   g.in_weights_.resize(m);
-  for (const Edge& e : edges_) ++g.in_offsets_[e.to + 1];
+  for (NodeId to : g.out_targets_) ++g.in_offsets_[to + 1];
   for (size_t v = 0; v < n; ++v) g.in_offsets_[v + 1] += g.in_offsets_[v];
   {
     std::vector<size_t> cursor(g.in_offsets_.begin(), g.in_offsets_.end() - 1);
-    for (const Edge& e : edges_) {
-      size_t idx = cursor[e.to]++;
-      g.in_sources_[idx] = e.from;
-      g.in_weights_[idx] = e.weight;
+    for (size_t v = 0; v < n; ++v) {
+      for (size_t i = g.out_offsets_[v]; i < g.out_offsets_[v + 1]; ++i) {
+        const size_t idx = cursor[g.out_targets_[i]]++;
+        g.in_sources_[idx] = static_cast<NodeId>(v);
+        g.in_weights_[idx] = g.out_weights_[i];
+      }
     }
   }
 
@@ -185,6 +227,7 @@ Result<PreferenceGraph> GraphBuilder::Finalize(
   // edge (ties order by ascending id, so the index is deterministic).
   g.static_gain_bounds_.resize(n);
   g.bound_order_.resize(n);
+  std::vector<std::pair<double, NodeId>> by_bound(n);
   for (size_t v = 0; v < n; ++v) {
     double bound = g.node_weights_[v];
     for (size_t i = g.in_offsets_[v]; i < g.in_offsets_[v + 1]; ++i) {
@@ -193,23 +236,17 @@ Result<PreferenceGraph> GraphBuilder::Finalize(
       bound += g.node_weights_[u] * g.in_weights_[i];
     }
     g.static_gain_bounds_[v] = bound;
-    g.bound_order_[v] = static_cast<NodeId>(v);
+    by_bound[v] = {bound, static_cast<NodeId>(v)};
   }
-  std::sort(g.bound_order_.begin(), g.bound_order_.end(),
-            [&g](NodeId a, NodeId b) {
-              if (g.static_gain_bounds_[a] != g.static_gain_bounds_[b]) {
-                return g.static_gain_bounds_[a] > g.static_gain_bounds_[b];
-              }
-              return a < b;
+  // Sorting (bound, id) pairs keeps the comparisons off the bounds array.
+  std::sort(by_bound.begin(), by_bound.end(),
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
             });
+  for (size_t i = 0; i < n; ++i) g.bound_order_[i] = by_bound[i].second;
 
-  // Leave the builder reusable-but-empty.
-  node_weights_.clear();
-  labels_.clear();
-  edges_.clear();
-  edge_index_.clear();
-  any_label_ = false;
-
+  g.digest_ = digest.has_value() && !reordered ? *digest : g.ComputeDigest();
   return g;
 }
 

@@ -4,6 +4,7 @@
 #define PREFCOVER_GRAPH_GRAPH_BUILDER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,6 +32,17 @@ struct GraphValidationOptions {
   bool allow_self_loops = false;
 
   double weight_sum_tolerance = 1e-6;
+};
+
+/// \brief A graph's out-CSR before validation: what GraphBuilder buckets
+/// its edges into, and what the .pcg decoder reads straight from a file.
+struct OutCsr {
+  std::vector<double> node_weights;
+  std::vector<std::string> labels;  // empty or one per node
+  // Node v's list is [offsets[v], offsets[v+1]) of targets/weights.
+  std::vector<size_t> offsets;  // size n+1
+  std::vector<NodeId> targets;
+  std::vector<double> weights;
 };
 
 /// \brief Accumulates nodes and edges, then validates and freezes them into
@@ -79,10 +91,20 @@ class GraphBuilder {
   size_t NumNodes() const { return node_weights_.size(); }
   size_t NumEdges() const { return edges_.size(); }
 
-  /// Validates and produces the immutable graph. The builder is left in a
-  /// valid but unspecified state afterwards.
+  /// Validates and produces the immutable graph. The builder is left
+  /// empty and reusable afterwards, whether or not validation passed.
   Result<PreferenceGraph> Finalize(
       const GraphValidationOptions& options = GraphValidationOptions());
+
+  /// The one finalize routine, behind Finalize() and the .pcg decoder:
+  /// validates weights and edges, sorts any adjacency list not already
+  /// in ascending target order (rejecting repeated edges), then builds
+  /// the in-CSR, the static gain-bound index and the digest. `digest`,
+  /// when given, must be the digest of `csr` exactly as passed; it is
+  /// kept if no list needed sorting and recomputed otherwise.
+  static Result<PreferenceGraph> FinalizeCsr(
+      OutCsr csr, const GraphValidationOptions& options,
+      std::optional<uint64_t> digest = std::nullopt);
 
  private:
   struct Edge {
@@ -93,7 +115,6 @@ class GraphBuilder {
 
   std::vector<double> node_weights_;
   std::vector<std::string> labels_;
-  bool any_label_ = false;
   std::vector<Edge> edges_;
   // (from << 32 | to) -> index into edges_, for AddOrAccumulateEdge.
   std::unordered_map<uint64_t, size_t> edge_index_;

@@ -1,179 +1,166 @@
 #include "graph/graph_io.h"
 
-#include <algorithm>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "graph/graph_builder.h"
 #include "util/csv.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace prefcover {
 
 namespace {
 
+// Layout (little-endian): magic, then the payload — version u32, n u64,
+// m u64, has_labels u8, n node weights f64, per node (out-degree u32,
+// then (target u32, weight f64) per edge), per node (length u32, bytes)
+// if labeled — then the FNV-1a of the payload as u64. The digest hashes
+// n, m, weights and adjacency in that same byte order, so its bytes are
+// the payload's minus version, has_labels and labels.
 constexpr char kMagic[8] = {'P', 'C', 'G', 'R', 'A', 'P', 'H', '1'};
 constexpr uint32_t kVersion = 1;
+constexpr size_t kVersionBytes = sizeof(uint32_t);
+constexpr size_t kCountsBytes = 2 * sizeof(uint64_t);
+constexpr size_t kHeaderBytes = kVersionBytes + kCountsBytes + 1;
+constexpr size_t kEdgeBytes = sizeof(NodeId) + sizeof(double);
+constexpr uint32_t kMaxLabelBytes = 1u << 20;
 
-// FNV-1a over the serialized payload; cheap integrity check against
-// truncation and bit rot, not cryptographic.
-class Fnv1a {
+template <typename T>
+void Put(char** out, T value) {
+  std::memcpy(*out, &value, sizeof(T));
+  *out += sizeof(T);
+}
+
+// Bounds-checked cursor over an in-memory image.
+class ImageReader {
  public:
-  void Update(const void* data, size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  uint64_t digest() const { return hash_; }
+  explicit ImageReader(std::string_view bytes) : bytes_(bytes) {}
 
- private:
-  uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
-
-class BinaryWriter {
- public:
-  explicit BinaryWriter(std::ostream* out) : out_(out) {}
-
-  void Write(const void* data, size_t size) {
-    out_->write(static_cast<const char*>(data),
-                static_cast<std::streamsize>(size));
-    hash_.Update(data, size);
-  }
+  size_t offset() const { return pos_; }
+  size_t remaining() const { return bytes_.size() - pos_; }
 
   template <typename T>
-  void WriteScalar(T value) {
-    Write(&value, sizeof(T));
+  bool Read(T* value) {
+    if (remaining() < sizeof(T)) return false;
+    std::memcpy(value, bytes_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return true;
   }
 
-  void WriteString(const std::string& s) {
-    WriteScalar<uint32_t>(static_cast<uint32_t>(s.size()));
-    Write(s.data(), s.size());
+  // Returns the next `size` bytes, or null if fewer remain.
+  const char* Take(size_t size) {
+    if (remaining() < size) return nullptr;
+    const char* p = bytes_.data() + pos_;
+    pos_ += size;
+    return p;
   }
-
-  uint64_t digest() const { return hash_.digest(); }
-  bool ok() const { return out_->good(); }
 
  private:
-  std::ostream* out_;
-  Fnv1a hash_;
+  std::string_view bytes_;
+  size_t pos_ = 0;
 };
 
-class BinaryReader {
- public:
-  explicit BinaryReader(std::istream* in) : in_(in) {}
-
-  Status Read(void* data, size_t size) {
-    in_->read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-    if (static_cast<size_t>(in_->gcount()) != size) {
-      return Status::Corruption("unexpected end of graph file");
-    }
-    hash_.Update(data, size);
-    return Status::OK();
-  }
-
-  template <typename T>
-  Result<T> ReadScalar() {
-    T value;
-    PREFCOVER_RETURN_NOT_OK(Read(&value, sizeof(T)));
-    return value;
-  }
-
-  Result<std::string> ReadString(uint32_t max_len) {
-    PREFCOVER_ASSIGN_OR_RETURN(uint32_t len, ReadScalar<uint32_t>());
-    if (len > max_len) {
-      return Status::Corruption("string length implausible: " +
-                                std::to_string(len));
-    }
-    std::string s(len, '\0');
-    PREFCOVER_RETURN_NOT_OK(Read(s.data(), len));
-    return s;
-  }
-
-  uint64_t digest() const { return hash_.digest(); }
-
- private:
-  std::istream* in_;
-  Fnv1a hash_;
-};
+Status Truncated() {
+  return Status::Corruption("unexpected end of graph file");
+}
 
 }  // namespace
 
-Status WriteGraphBinary(const PreferenceGraph& graph, std::ostream* out) {
-  out->write(kMagic, sizeof(kMagic));
-  BinaryWriter w(out);
-  w.WriteScalar<uint32_t>(kVersion);
+std::string SerializeGraphBinary(const PreferenceGraph& graph) {
   const uint64_t n = graph.NumNodes();
   const uint64_t m = graph.NumEdges();
-  w.WriteScalar<uint64_t>(n);
-  w.WriteScalar<uint64_t>(m);
-  w.WriteScalar<uint8_t>(graph.HasLabels() ? 1 : 0);
-  for (NodeId v = 0; v < n; ++v) w.WriteScalar<double>(graph.NodeWeight(v));
+  size_t size = sizeof(kMagic) + kHeaderBytes +
+                n * (sizeof(double) + sizeof(uint32_t)) + m * kEdgeBytes +
+                sizeof(uint64_t);
+  if (graph.HasLabels()) {
+    for (NodeId v = 0; v < n; ++v) {
+      size += sizeof(uint32_t) + graph.Label(v).size();
+    }
+  }
+  std::string image(size, '\0');
+  char* out = image.data();
+  std::memcpy(out, kMagic, sizeof(kMagic));
+  out += sizeof(kMagic);
+  Put<uint32_t>(&out, kVersion);
+  Put<uint64_t>(&out, n);
+  Put<uint64_t>(&out, m);
+  Put<uint8_t>(&out, graph.HasLabels() ? 1 : 0);
+  std::memcpy(out, graph.NodeWeights().data(), n * sizeof(double));
+  out += n * sizeof(double);
   for (NodeId v = 0; v < n; ++v) {
     AdjacencyView adj = graph.OutNeighbors(v);
-    w.WriteScalar<uint32_t>(static_cast<uint32_t>(adj.size()));
+    Put<uint32_t>(&out, static_cast<uint32_t>(adj.size()));
     for (size_t i = 0; i < adj.size(); ++i) {
-      w.WriteScalar<NodeId>(adj.nodes[i]);
-      w.WriteScalar<double>(adj.weights[i]);
+      Put<NodeId>(&out, adj.nodes[i]);
+      Put<double>(&out, adj.weights[i]);
     }
   }
   if (graph.HasLabels()) {
-    for (NodeId v = 0; v < n; ++v) w.WriteString(graph.Label(v));
+    for (NodeId v = 0; v < n; ++v) {
+      const std::string& label = graph.Label(v);
+      Put<uint32_t>(&out, static_cast<uint32_t>(label.size()));
+      std::memcpy(out, label.data(), label.size());
+      out += label.size();
+    }
   }
-  uint64_t digest = w.digest();
-  out->write(reinterpret_cast<const char*>(&digest), sizeof(digest));
-  if (!out->good()) return Status::IOError("failed writing graph stream");
-  return Status::OK();
+  Fnv1a checksum;
+  checksum.Update(image.data() + sizeof(kMagic),
+                  static_cast<size_t>(out - image.data()) - sizeof(kMagic));
+  Put<uint64_t>(&out, checksum.digest());
+  return image;
 }
 
-Result<PreferenceGraph> ReadGraphBinary(std::istream* in) {
-  char magic[sizeof(kMagic)];
-  in->read(magic, sizeof(magic));
-  if (static_cast<size_t>(in->gcount()) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+Result<PreferenceGraph> DeserializeGraphBinary(std::string_view image) {
+  if (image.size() < sizeof(kMagic) ||
+      std::memcmp(image.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("not a .pcg graph file (bad magic)");
   }
-  BinaryReader r(in);
-  PREFCOVER_ASSIGN_OR_RETURN(uint32_t version, r.ReadScalar<uint32_t>());
+  const std::string_view payload = image.substr(sizeof(kMagic));
+  ImageReader r(payload);
+  uint32_t version = 0;
+  if (!r.Read(&version)) return Truncated();
   if (version != kVersion) {
     return Status::Corruption("unsupported graph format version " +
                               std::to_string(version));
   }
-  PREFCOVER_ASSIGN_OR_RETURN(uint64_t n, r.ReadScalar<uint64_t>());
-  PREFCOVER_ASSIGN_OR_RETURN(uint64_t m, r.ReadScalar<uint64_t>());
-  PREFCOVER_ASSIGN_OR_RETURN(uint8_t has_labels, r.ReadScalar<uint8_t>());
+  uint64_t n = 0, m = 0;
+  uint8_t has_labels = 0;
+  if (!r.Read(&n) || !r.Read(&m) || !r.Read(&has_labels)) return Truncated();
   if (n > kInvalidNode) {
     return Status::Corruption("node count exceeds NodeId range");
   }
   if (n > 0 && m / n > n) {
     return Status::Corruption("edge count implausible for node count");
   }
-
-  GraphBuilder builder;
-  // The counts come from an untrusted stream: cap the speculative
-  // reservation and let storage grow only as bytes actually arrive, so a
-  // corrupted count field fails cleanly at end-of-stream instead of
-  // attempting a multi-gigabyte allocation.
-  constexpr uint64_t kReserveCap = 1u << 20;
-  builder.Reserve(static_cast<size_t>(std::min(n, kReserveCap)),
-                  static_cast<size_t>(std::min(m, 4 * kReserveCap)));
-  for (uint64_t v = 0; v < n; ++v) {
-    PREFCOVER_ASSIGN_OR_RETURN(double weight, r.ReadScalar<double>());
-    builder.AddNode(weight);
+  // The counts come from an untrusted file: check them against the bytes
+  // present before allocating for them. Weights and degrees take 12 bytes
+  // per node and the edges 12 each, so a corrupted count fails here
+  // instead of attempting a multi-gigabyte allocation.
+  constexpr size_t kNodeBytes = sizeof(double) + sizeof(uint32_t);
+  if (r.remaining() / kNodeBytes < n ||
+      (r.remaining() - n * kNodeBytes) / kEdgeBytes < m) {
+    return Truncated();
   }
+
+  OutCsr csr;
+  csr.node_weights.resize(n);
+  std::memcpy(csr.node_weights.data(), r.Take(n * sizeof(double)),
+              n * sizeof(double));
+  csr.offsets.resize(n + 1);
+  csr.targets.resize(m);
+  csr.weights.resize(m);
   uint64_t edges_seen = 0;
   for (uint64_t v = 0; v < n; ++v) {
-    PREFCOVER_ASSIGN_OR_RETURN(uint32_t deg, r.ReadScalar<uint32_t>());
+    uint32_t deg = 0;
+    if (!r.Read(&deg)) return Truncated();
     // A simple graph's out-degree cannot exceed n, and the per-node
-    // degrees cannot sum past the header's edge count; checking both
-    // before consuming the adjacency turns a corrupted degree field into
-    // a descriptive error instead of a multi-gigabyte read attempt.
+    // degrees cannot sum past the header's edge count (which the bytes
+    // present were checked against above).
     if (deg > n) {
       return Status::Corruption(
           "node " + std::to_string(v) + " declares out-degree " +
@@ -184,65 +171,65 @@ Result<PreferenceGraph> ReadGraphBinary(std::istream* in) {
           "adjacency lists exceed the header edge count " +
           std::to_string(m) + " at node " + std::to_string(v));
     }
-    for (uint32_t i = 0; i < deg; ++i) {
-      PREFCOVER_ASSIGN_OR_RETURN(NodeId to, r.ReadScalar<NodeId>());
-      PREFCOVER_ASSIGN_OR_RETURN(double w, r.ReadScalar<double>());
+    const char* p = r.Take(deg * kEdgeBytes);
+    if (p == nullptr) return Truncated();
+    for (uint32_t i = 0; i < deg; ++i, p += kEdgeBytes) {
+      NodeId to = 0;
+      std::memcpy(&to, p, sizeof(to));
       if (to >= n) return Status::Corruption("edge target out of range");
-      PREFCOVER_RETURN_NOT_OK(
-          builder.AddEdge(static_cast<NodeId>(v), to, w));
-      ++edges_seen;
+      csr.targets[edges_seen + i] = to;
+      std::memcpy(&csr.weights[edges_seen + i], p + sizeof(to),
+                  sizeof(double));
     }
+    edges_seen += deg;
+    csr.offsets[v + 1] = edges_seen;
   }
   if (edges_seen != m) {
     return Status::Corruption("edge count mismatch: header says " +
                               std::to_string(m) + ", found " +
                               std::to_string(edges_seen));
   }
-  std::vector<std::string> labels;
+  const size_t adjacency_end = r.offset();
   if (has_labels != 0) {
-    labels.reserve(static_cast<size_t>(std::min(n, kReserveCap)));
+    if (r.remaining() / sizeof(uint32_t) < n) return Truncated();
+    csr.labels.resize(n);
     for (uint64_t v = 0; v < n; ++v) {
-      PREFCOVER_ASSIGN_OR_RETURN(std::string label, r.ReadString(1u << 20));
-      labels.push_back(std::move(label));
+      uint32_t len = 0;
+      if (!r.Read(&len)) return Truncated();
+      if (len > kMaxLabelBytes) {
+        return Status::Corruption("string length implausible: " +
+                                  std::to_string(len));
+      }
+      const char* p = r.Take(len);
+      if (p == nullptr) return Truncated();
+      csr.labels[v].assign(p, len);
     }
   }
-
-  uint64_t expected = r.digest();
+  const size_t payload_end = r.offset();
   uint64_t stored = 0;
-  in->read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  if (static_cast<size_t>(in->gcount()) != sizeof(stored)) {
-    return Status::Corruption("missing checksum");
-  }
-  if (stored != expected) {
+  if (!r.Read(&stored)) return Status::Corruption("missing checksum");
+
+  // One pass over the payload yields the checksum and, over the bytes
+  // the two share, the graph's digest.
+  Fnv1a checksum, digest;
+  const char* bytes = payload.data();
+  checksum.Update(bytes, kVersionBytes);
+  Fnv1a::UpdateBoth(&checksum, &digest, bytes + kVersionBytes, kCountsBytes);
+  checksum.Update(bytes + kVersionBytes + kCountsBytes, 1);
+  Fnv1a::UpdateBoth(&checksum, &digest, bytes + kHeaderBytes,
+                    adjacency_end - kHeaderBytes);
+  checksum.Update(bytes + adjacency_end, payload_end - adjacency_end);
+  if (stored != checksum.digest()) {
     return Status::Corruption("checksum mismatch");
   }
 
-  // The stream was produced from an already-validated graph; permissive
+  // The file was produced from an already-validated graph; permissive
   // finalize preserves whatever shape it had (e.g. VC-reduction self-loops,
   // unnormalized transform intermediates).
   GraphValidationOptions options;
   options.require_normalized_node_weights = false;
   options.allow_self_loops = true;
-  PREFCOVER_ASSIGN_OR_RETURN(PreferenceGraph graph,
-                             builder.Finalize(options));
-  if (has_labels != 0) {
-    // Rebuild via a labeled builder pass: attach labels by re-finalizing is
-    // not possible on the immutable graph, so re-run with labels in place.
-    GraphBuilder labeled;
-    labeled.Reserve(graph.NumNodes(), graph.NumEdges());
-    for (NodeId v = 0; v < graph.NumNodes(); ++v) {
-      labeled.AddNode(graph.NodeWeight(v), labels[v]);
-    }
-    for (NodeId v = 0; v < graph.NumNodes(); ++v) {
-      AdjacencyView adj = graph.OutNeighbors(v);
-      for (size_t i = 0; i < adj.size(); ++i) {
-        PREFCOVER_RETURN_NOT_OK(
-            labeled.AddEdge(v, adj.nodes[i], adj.weights[i]));
-      }
-    }
-    return labeled.Finalize(options);
-  }
-  return graph;
+  return GraphBuilder::FinalizeCsr(std::move(csr), options, digest.digest());
 }
 
 Status WriteGraphBinaryFile(const PreferenceGraph& graph,
@@ -250,16 +237,13 @@ Status WriteGraphBinaryFile(const PreferenceGraph& graph,
   PREFCOVER_FAILPOINT_STATUS("graph_io.write");
   // Atomic replace: a crash mid-write leaves the previous file (or no
   // file), never a torn .pcg that a later load would reject.
-  return WriteFileAtomic(path, [&graph](std::ostream* out) {
-    return WriteGraphBinary(graph, out);
-  });
+  return WriteFileAtomic(path, SerializeGraphBinary(graph));
 }
 
 Result<PreferenceGraph> ReadGraphBinaryFile(const std::string& path) {
   PREFCOVER_FAILPOINT_STATUS("graph_io.read");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  return ReadGraphBinary(&in);
+  PREFCOVER_ASSIGN_OR_RETURN(std::string image, ReadFileToString(path));
+  return DeserializeGraphBinary(image);
 }
 
 Status WriteGraphCsv(const PreferenceGraph& graph, std::ostream* nodes_out,

@@ -12,6 +12,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "graph/graph_builder.h"
 #include "graph/preference_graph.h"
@@ -22,14 +23,20 @@ namespace prefcover {
 /// \name Binary format
 /// @{
 
-/// Writes `graph` to `out` in binary .pcg format.
-Status WriteGraphBinary(const PreferenceGraph& graph, std::ostream* out);
+/// Encodes `graph` as a .pcg image.
+std::string SerializeGraphBinary(const PreferenceGraph& graph);
 
-/// Reads a binary .pcg graph. Fails with Corruption on bad magic, version,
-/// truncation or checksum mismatch.
-Result<PreferenceGraph> ReadGraphBinary(std::istream* in);
+/// Decodes a .pcg image. Fails with Corruption on bad magic, version,
+/// structure, truncation or checksum mismatch, and with InvalidArgument
+/// when a well-formed image holds an invalid graph (e.g. a repeated edge
+/// or an edge weight outside (0, 1]). Adjacency lists stored out of
+/// target order are sorted. The graph's digest comes out of the checksum
+/// pass instead of a second hash over the CSR.
+Result<PreferenceGraph> DeserializeGraphBinary(std::string_view image);
 
-/// File-path conveniences.
+/// File-path conveniences: one atomic write of the image, and one read of
+/// the whole file followed by DeserializeGraphBinary. A missing or
+/// unreadable path (a directory, say) is an IOError.
 Status WriteGraphBinaryFile(const PreferenceGraph& graph,
                             const std::string& path);
 Result<PreferenceGraph> ReadGraphBinaryFile(const std::string& path);

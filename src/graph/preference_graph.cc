@@ -1,6 +1,28 @@
 #include "graph/preference_graph.h"
 
+#include "util/hash.h"
+
 namespace prefcover {
+
+PreferenceGraph::PreferenceGraph() { digest_ = ComputeDigest(); }
+
+uint64_t PreferenceGraph::ComputeDigest() const {
+  Fnv1a hash;
+  const uint64_t n = NumNodes();
+  const uint64_t m = NumEdges();
+  hash.UpdateScalar(n);
+  hash.UpdateScalar(m);
+  hash.Update(node_weights_.data(), node_weights_.size() * sizeof(double));
+  for (NodeId v = 0; v < n; ++v) {
+    AdjacencyView adj = OutNeighbors(v);
+    hash.UpdateScalar(static_cast<uint32_t>(adj.size()));
+    for (size_t i = 0; i < adj.size(); ++i) {
+      hash.UpdateScalar(adj.nodes[i]);
+      hash.UpdateScalar(adj.weights[i]);
+    }
+  }
+  return hash.digest();
+}
 
 double PreferenceGraph::OutWeightSum(NodeId v) const {
   AdjacencyView out = OutNeighbors(v);

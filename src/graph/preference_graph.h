@@ -45,7 +45,8 @@ struct AdjacencyView {
 /// movable; all read accessors are thread-safe.
 class PreferenceGraph {
  public:
-  PreferenceGraph() = default;
+  /// The empty graph.
+  PreferenceGraph();
 
   size_t NumNodes() const { return node_weights_.size(); }
   size_t NumEdges() const { return out_targets_.size(); }
@@ -137,6 +138,14 @@ class PreferenceGraph {
   /// True if the edge (v, u) exists.
   bool HasEdge(NodeId v, NodeId u) const;
 
+  /// Order-sensitive FNV-1a digest of the instance: node count, edge
+  /// count, node weights, then each node's out-degree and (target,
+  /// weight) list. Labels are not part of it. Computed once when the
+  /// graph is finalized (a .pcg load takes it from the checksum pass), so
+  /// reading it is O(1). Checkpoints, serving indexes and dist workers
+  /// compare it to refuse a different instance.
+  uint64_t Digest() const { return digest_; }
+
   /// Optional human-readable item labels. Empty when unlabeled.
   bool HasLabels() const { return !labels_.empty(); }
   const std::string& Label(NodeId v) const {
@@ -149,6 +158,9 @@ class PreferenceGraph {
  private:
   friend class GraphBuilder;
 
+  // Digest() from scratch, over the CSR arrays.
+  uint64_t ComputeDigest() const;
+
   std::vector<double> node_weights_;
   std::vector<size_t> out_offsets_;  // size NumNodes()+1
   std::vector<NodeId> out_targets_;
@@ -159,6 +171,7 @@ class PreferenceGraph {
   std::vector<double> static_gain_bounds_;  // size NumNodes()
   std::vector<NodeId> bound_order_;         // ids, descending bound
   std::vector<std::string> labels_;  // empty or size NumNodes()
+  uint64_t digest_ = 0;
 };
 
 }  // namespace prefcover

@@ -1,13 +1,13 @@
 #include "util/fs.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "util/failpoint.h"
@@ -91,12 +91,38 @@ Status WriteFileAtomic(const std::string& path,
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed for: " + path);
-  return buffer.str();
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError(ErrnoMessage("cannot open for reading", path));
+  }
+  // Size the buffer from fstat and fill it with read(2) calls; whatever
+  // arrives past that size (a file still growing, a pipe) is appended.
+  std::string data;
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    data.resize(static_cast<size_t>(st.st_size));
+  }
+  size_t filled = 0;
+  char overflow[4096];
+  for (;;) {
+    const bool spill = filled == data.size();
+    char* dst = spill ? overflow : data.data() + filled;
+    const size_t room = spill ? sizeof(overflow) : data.size() - filled;
+    const ssize_t got = ::read(fd, dst, room);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      // A directory opens fine and fails here with EISDIR.
+      Status st_read = Status::IOError(ErrnoMessage("read failed", path));
+      ::close(fd);
+      return st_read;
+    }
+    if (got == 0) break;
+    if (spill) data.append(overflow, static_cast<size_t>(got));
+    filled += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  data.resize(filled);
+  return data;
 }
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {

@@ -33,13 +33,15 @@ namespace prefcover {
 Status WriteFileAtomic(const std::string& path, std::string_view contents);
 
 /// \brief Streaming variant: `writer` produces the contents into an
-/// ostream (e.g. WriteGraphBinary). The payload is staged in memory, then
+/// ostream (e.g. a CSV writer). The payload is staged in memory, then
 /// committed via the string overload — callers trade peak memory for the
 /// atomicity guarantee.
 Status WriteFileAtomic(const std::string& path,
                        const std::function<Status(std::ostream*)>& writer);
 
-/// \brief Reads a whole file into a string (binary, no translation).
+/// \brief Reads a whole file into a string (binary, no translation) with
+/// one buffer sized from fstat and a read(2) loop. A missing file or a
+/// directory is an IOError.
 Result<std::string> ReadFileToString(const std::string& path);
 
 /// \brief CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `size` bytes.

@@ -32,9 +32,8 @@ void ExpectGraphsEqual(const PreferenceGraph& a, const PreferenceGraph& b) {
 
 TEST(GraphBinaryIoTest, RoundTripPaperExample) {
   PreferenceGraph g = MakePaperExampleGraph();
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(g, &buf).ok());
-  auto read = ReadGraphBinary(&buf);
+  const std::string buf = SerializeGraphBinary(g);
+  auto read = DeserializeGraphBinary(buf);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   ExpectGraphsEqual(g, *read);
 }
@@ -46,9 +45,8 @@ TEST(GraphBinaryIoTest, RoundTripRandomGraph) {
   params.out_degree = 6;
   auto g = GenerateUniformGraph(params, &rng);
   ASSERT_TRUE(g.ok());
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(*g, &buf).ok());
-  auto read = ReadGraphBinary(&buf);
+  const std::string buf = SerializeGraphBinary(*g);
+  auto read = DeserializeGraphBinary(buf);
   ASSERT_TRUE(read.ok());
   ExpectGraphsEqual(*g, *read);
 }
@@ -60,42 +58,35 @@ TEST(GraphBinaryIoTest, RoundTripUnlabeledGraph) {
   ASSERT_TRUE(b.AddEdge(0, 1, 0.3).ok());
   auto g = b.Finalize();
   ASSERT_TRUE(g.ok());
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(*g, &buf).ok());
-  auto read = ReadGraphBinary(&buf);
+  const std::string buf = SerializeGraphBinary(*g);
+  auto read = DeserializeGraphBinary(buf);
   ASSERT_TRUE(read.ok());
   EXPECT_FALSE(read->HasLabels());
   ExpectGraphsEqual(*g, *read);
 }
 
 TEST(GraphBinaryIoTest, BadMagicRejected) {
-  std::stringstream buf;
-  buf << "NOTAGRAPHFILE_____";
-  auto read = ReadGraphBinary(&buf);
+  const std::string buf = "NOTAGRAPHFILE_____";
+  auto read = DeserializeGraphBinary(buf);
   EXPECT_TRUE(read.status().IsCorruption());
 }
 
 TEST(GraphBinaryIoTest, TruncationDetected) {
   PreferenceGraph g = MakePaperExampleGraph();
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(g, &buf).ok());
-  std::string data = buf.str();
+  std::string data = SerializeGraphBinary(g);
   for (size_t cut : {data.size() - 1, data.size() / 2, size_t{10}}) {
-    std::stringstream truncated(data.substr(0, cut));
-    auto read = ReadGraphBinary(&truncated);
+    const std::string truncated = data.substr(0, cut);
+    auto read = DeserializeGraphBinary(truncated);
     EXPECT_TRUE(read.status().IsCorruption()) << "cut at " << cut;
   }
 }
 
 TEST(GraphBinaryIoTest, BitFlipDetectedByChecksum) {
   PreferenceGraph g = MakePaperExampleGraph();
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(g, &buf).ok());
-  std::string data = buf.str();
+  std::string data = SerializeGraphBinary(g);
   // Flip a bit in the node-weight payload region (after magic+header).
   data[32] = static_cast<char>(data[32] ^ 0x40);
-  std::stringstream corrupted(data);
-  auto read = ReadGraphBinary(&corrupted);
+  auto read = DeserializeGraphBinary(data);
   EXPECT_FALSE(read.ok());
 }
 

@@ -18,8 +18,14 @@ namespace {
 
 std::string CliPath() { return PREFCOVER_CLI_PATH; }
 
+// Scoped by test name: ctest runs these tests as parallel processes, and
+// a shared clicks.csv being rewritten under another test's reader made
+// them flake.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/cli_test_" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "/cli_test_" + test->test_suite_name() +
+         "_" + test->name() + "_" + name;
 }
 
 // Runs a command line, returns its exit code.

@@ -42,9 +42,8 @@ TEST(EndToEndTest, FullPipelineIndependentProfile) {
   ASSERT_TRUE(graph.ok());
 
   // 4. Persist and reload the graph (binary round trip).
-  std::stringstream pcg;
-  ASSERT_TRUE(WriteGraphBinary(*graph, &pcg).ok());
-  auto graph2 = ReadGraphBinary(&pcg);
+  const std::string pcg = SerializeGraphBinary(*graph);
+  auto graph2 = DeserializeGraphBinary(pcg);
   ASSERT_TRUE(graph2.ok());
 
   // 5. Solve and validate.

@@ -18,16 +18,14 @@ namespace {
 
 std::string ValidGraphBytes() {
   PreferenceGraph g = MakePaperExampleGraph();
-  std::stringstream buf;
-  EXPECT_TRUE(WriteGraphBinary(g, &buf).ok());
-  return buf.str();
+  return SerializeGraphBinary(g);
 }
 
 TEST(MalformedGraphTest, TruncationAtEveryOffsetRejected) {
   const std::string bytes = ValidGraphBytes();
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    auto read = ReadGraphBinary(&truncated);
+    const std::string truncated = bytes.substr(0, cut);
+    auto read = DeserializeGraphBinary(truncated);
     EXPECT_FALSE(read.ok()) << "cut at " << cut;
   }
 }
@@ -39,8 +37,7 @@ TEST(MalformedGraphTest, SingleByteFlipAtEveryOffsetRejected) {
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::string corrupted = bytes;
     corrupted[i] = static_cast<char>(corrupted[i] ^ 0x01);
-    std::stringstream in(corrupted);
-    auto read = ReadGraphBinary(&in);
+    auto read = DeserializeGraphBinary(corrupted);
     EXPECT_FALSE(read.ok()) << "flip at byte " << i;
   }
 }
@@ -52,8 +49,7 @@ TEST(MalformedGraphTest, AbsurdNodeCountRejectedWithoutAllocation) {
   std::string bytes = ValidGraphBytes();
   ASSERT_GT(bytes.size(), 20u);
   std::memset(&bytes[12], 0xFF, 8);
-  std::stringstream in(bytes);
-  auto read = ReadGraphBinary(&in);
+  auto read = DeserializeGraphBinary(bytes);
   EXPECT_FALSE(read.ok());
 }
 
@@ -62,8 +58,7 @@ TEST(MalformedGraphTest, AbsurdEdgeCountRejected) {
   std::string bytes = ValidGraphBytes();
   ASSERT_GT(bytes.size(), 28u);
   std::memset(&bytes[20], 0xFF, 8);
-  std::stringstream in(bytes);
-  auto read = ReadGraphBinary(&in);
+  auto read = DeserializeGraphBinary(bytes);
   EXPECT_FALSE(read.ok());
 }
 
@@ -71,8 +66,7 @@ TEST(MalformedGraphTest, EmptyAndGarbagePrefixRejected) {
   for (const char* garbage :
        {"", "PCG", "PCGRAPH2________", "<html>not a graph</html>",
         "PCGRAPH1"}) {
-    std::stringstream in{std::string(garbage)};
-    auto read = ReadGraphBinary(&in);
+    auto read = DeserializeGraphBinary(std::string(garbage));
     EXPECT_FALSE(read.ok()) << "input: " << garbage;
   }
 }

@@ -41,17 +41,14 @@ TEST(SerializationFuzzTest, EverySingleBitFlipIsDetected) {
   params.out_degree = 3;
   auto g = GenerateUniformGraph(params, &rng);
   ASSERT_TRUE(g.ok());
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(*g, &buf).ok());
-  const std::string original = buf.str();
+  const std::string original = SerializeGraphBinary(*g);
 
   size_t silent_corruptions = 0;
   for (size_t byte = 0; byte < original.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string corrupted = original;
       corrupted[byte] = static_cast<char>(corrupted[byte] ^ (1 << bit));
-      std::stringstream in(corrupted);
-      auto read = ReadGraphBinary(&in);
+      auto read = DeserializeGraphBinary(corrupted);
       if (read.ok() && !GraphsEqual(*g, *read)) {
         ++silent_corruptions;
       }
@@ -70,14 +67,11 @@ TEST(SerializationFuzzTest, EverySingleBitFlipIsDetected) {
 
 TEST(SerializationFuzzTest, RandomTruncationsAreDetected) {
   PreferenceGraph g = MakePaperExampleGraph();
-  std::stringstream buf;
-  ASSERT_TRUE(WriteGraphBinary(g, &buf).ok());
-  const std::string original = buf.str();
+  const std::string original = SerializeGraphBinary(g);
   Rng rng(9);
   for (int trial = 0; trial < 200; ++trial) {
     size_t cut = static_cast<size_t>(rng.NextBounded(original.size()));
-    std::stringstream in(original.substr(0, cut));
-    auto read = ReadGraphBinary(&in);
+    auto read = DeserializeGraphBinary(original.substr(0, cut));
     EXPECT_FALSE(read.ok()) << "cut at " << cut;
   }
 }
@@ -143,9 +137,8 @@ TEST(SerializationFuzzTest, GraphRoundTripManyRandomGraphs) {
     params.normalized_out_weights = seed % 2 == 0;
     auto g = GenerateUniformGraph(params, &rng);
     ASSERT_TRUE(g.ok());
-    std::stringstream buf;
-    ASSERT_TRUE(WriteGraphBinary(*g, &buf).ok());
-    auto read = ReadGraphBinary(&buf);
+    const std::string buf = SerializeGraphBinary(*g);
+    auto read = DeserializeGraphBinary(buf);
     ASSERT_TRUE(read.ok()) << "seed " << seed;
     EXPECT_TRUE(GraphsEqual(*g, *read)) << "seed " << seed;
   }

@@ -151,11 +151,16 @@ int RunTcpLoadgen(const FlagParser& flags) {
   const size_t n_conns =
       std::max<size_t>(1, static_cast<size_t>(flags.GetInt("connections")));
 
-  auto now_ms = [] {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
+  // Requests are timed with nanosecond stamps, so a sub-millisecond
+  // answer reports its real latency; milliseconds serve only the run
+  // clock and the success-gap (recovery) stamps.
+  auto now_ns = [] {
+    return static_cast<int64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
   };
+  auto now_ms = [&now_ns] { return now_ns() / 1'000'000; };
 
   struct ConnResult {
     ClientCounters counters;
@@ -185,16 +190,17 @@ int RunTcpLoadgen(const FlagParser& flags) {
         } else {
           line = "coverk " + std::to_string(rng.NextBounded(nodes + 1));
         }
-        const int64_t sent = now_ms();
+        const int64_t sent_ns = now_ns();
         auto response = client.Call(line);
         if (response.ok()) {
           if (response->rfind("OK", 0) != 0 &&
               response->rfind("ERR", 0) != 0) {
             ++out.protocol_errors;
           }
-          const int64_t done = now_ms();
+          const int64_t done_ns = now_ns();
           out.successes.emplace_back(
-              done, static_cast<double>(done - sent) * 1000.0);
+              done_ns / 1'000'000,
+              static_cast<double>(done_ns - sent_ns) / 1e3);
         } else if (client.breaker_open()) {
           // Fast-fail window; let the cooldown elapse instead of
           // spinning on FailedPrecondition.
