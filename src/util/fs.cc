@@ -95,29 +95,24 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (fd < 0) {
     return Status::IOError(ErrnoMessage("cannot open for reading", path));
   }
-  // Size the buffer from fstat and fill it with read(2) calls; whatever
-  // arrives past that size (a file still growing, a pipe) is appended.
-  std::string data;
+  // One byte past the fstat size, so a regular file arrives in one read
+  // and the next returns EOF; anything longer (a growing file, a pipe)
+  // doubles the buffer.
   struct stat st;
-  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-    data.resize(static_cast<size_t>(st.st_size));
-  }
+  const bool sized = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+  std::string data(sized ? static_cast<size_t>(st.st_size) + 1 : 4096, '\0');
   size_t filled = 0;
-  char overflow[4096];
   for (;;) {
-    const bool spill = filled == data.size();
-    char* dst = spill ? overflow : data.data() + filled;
-    const size_t room = spill ? sizeof(overflow) : data.size() - filled;
-    const ssize_t got = ::read(fd, dst, room);
+    if (filled == data.size()) data.resize(2 * data.size());
+    const ssize_t got = ::read(fd, data.data() + filled, data.size() - filled);
     if (got < 0) {
       if (errno == EINTR) continue;
       // A directory opens fine and fails here with EISDIR.
-      Status st_read = Status::IOError(ErrnoMessage("read failed", path));
+      Status error = Status::IOError(ErrnoMessage("read failed", path));
       ::close(fd);
-      return st_read;
+      return error;
     }
     if (got == 0) break;
-    if (spill) data.append(overflow, static_cast<size_t>(got));
     filled += static_cast<size_t>(got);
   }
   ::close(fd);
