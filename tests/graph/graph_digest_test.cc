@@ -1,7 +1,7 @@
 // Digest-once differential: every way a PreferenceGraph is made must
 // leave it carrying the digest a from-scratch hash of its CSR gives.
 // GraphDigest reads the value stored at finalize (or taken from the .pcg
-// checksum pass); the oracle below is the O(n + m) hash it replaced.
+// checksum pass); OracleDigest hashes the CSR independently.
 
 #include <sstream>
 #include <string>
@@ -25,8 +25,9 @@
 namespace prefcover {
 namespace {
 
-// The digest computed the slow way, byte for byte as GraphDigest hashed
-// it before graphs stored their digest.
+// The digest's definition, hashed byte by byte through the public
+// accessors: n, m, node weights, then per node its out-degree and
+// (target, weight) pairs.
 uint64_t OracleDigest(const PreferenceGraph& graph) {
   uint64_t hash = 0xCBF29CE484222325ULL;
   auto update = [&hash](const void* data, size_t size) {

@@ -19,8 +19,8 @@ namespace {
 std::string CliPath() { return PREFCOVER_CLI_PATH; }
 
 // Scoped by test name: ctest runs these tests as parallel processes, and
-// a shared clicks.csv being rewritten under another test's reader made
-// them flake.
+// a file name shared between tests would let one rewrite another's input
+// while it is being read.
 std::string TempPath(const std::string& name) {
   const ::testing::TestInfo* test =
       ::testing::UnitTest::GetInstance()->current_test_info();
