@@ -5,6 +5,7 @@
 // never interrupted — for all four greedy executions and both variants.
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -47,9 +48,12 @@ std::string Slurp(const std::string& path) {
 class KillResumeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    clicks_path_ = new std::string(TempPath("clicks.csv"));
-    graph_path_ = new std::string(TempPath("graph.pcg"));
-    norm_graph_path_ = new std::string(TempPath("graph_norm.pcg"));
+    // Per process: ctest runs each test of this suite as its own process,
+    // and each one regenerates these inputs.
+    const std::string pid = std::to_string(::getpid());
+    clicks_path_ = new std::string(TempPath(pid + "_clicks.csv"));
+    graph_path_ = new std::string(TempPath(pid + "_graph.pcg"));
+    norm_graph_path_ = new std::string(TempPath(pid + "_graph_norm.pcg"));
     ASSERT_EQ(RunShell(CliPath() +
                        " generate --profile=YC --scale=0.004 --out=" +
                        *clicks_path_),
@@ -65,6 +69,10 @@ class KillResumeTest : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
+    for (const std::string* path :
+         {clicks_path_, graph_path_, norm_graph_path_}) {
+      std::remove(path->c_str());
+    }
     delete clicks_path_;
     delete graph_path_;
     delete norm_graph_path_;
