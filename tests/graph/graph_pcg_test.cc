@@ -74,7 +74,8 @@ void CheckGolden(const PreferenceGraph& graph, const std::string& name,
 
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good())
-      << path << " missing; run with PREFCOVER_REGENERATE_GOLDEN=1 to create it";
+      << path
+      << " missing; run with PREFCOVER_REGENERATE_GOLDEN=1 to create it";
   std::ostringstream golden;
   golden << in.rdbuf();
   EXPECT_EQ(bytes, golden.str())
@@ -133,7 +134,9 @@ TEST(PcgDecodeTest, DescendingAdjacencyLoadsAsItsSortedTwin) {
     records.push_back(image.substr(first + 12 * i, 12));
   }
   std::reverse(records.begin(), records.end());
-  for (size_t i = 0; i < deg; ++i) image.replace(first + 12 * i, 12, records[i]);
+  for (size_t i = 0; i < deg; ++i) {
+    image.replace(first + 12 * i, 12, records[i]);
+  }
   Reseal(&image);
   ASSERT_NE(image, SerializeGraphBinary(sorted));
 
