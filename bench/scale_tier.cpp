@@ -1,7 +1,7 @@
 // Scale-tier benchmark: the pinned large-instance suite behind the
 // nightly perf-smoke job. Generates the tier's Zipf-skewed PE-shaped
 // graph (S=20K, M=200K, L=1M, XL=10M nodes) and times graph generation
-// plus the batched-CELF lazy-parallel solve at the tier's pinned budget
+// plus the sharded-CELF lazy-parallel solve at the tier's pinned budget
 // (k=100), emitting the machine-readable BENCH_core.json trajectory
 // record.
 //

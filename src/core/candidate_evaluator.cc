@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/greedy_solver.h"
 #include "obs/trace.h"
 
 namespace prefcover {
@@ -11,144 +10,124 @@ namespace prefcover {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr size_t kDefaultCelfSeedCapacity = 1024;
+
+// Collect-and-compact top-cap selection shared by both seed builders:
+// candidates above the running threshold are appended to a 2*cap buffer
+// cut back to the exact top `cap` (nth_element by pair order) whenever it
+// fills — O(1) amortized per survivor instead of a push_heap. (key, id)
+// pairs are unique, so the kept set does not depend on nth_element's
+// implementation, nor on the order candidates are offered in.
+class SeedKeeper {
+ public:
+  SeedKeeper(size_t cap, uint32_t round) : cap_(cap), round_(round) {
+    keep_.reserve(2 * cap);
+  }
+
+  /// The last compact's cut: a lower bound on the running exact
+  /// threshold (-inf until the first compact), so a walk that stops once
+  /// every remaining bound is below it can only visit extra candidates,
+  /// never skip a needed one.
+  double cut() const { return theta_.gain; }
+
+  void Offer(double key, NodeId v) {
+    ++visited_;
+    if (key < theta_.gain || (key == theta_.gain && v > theta_.node)) return;
+    keep_.push_back({key, v, round_});
+    if (keep_.size() == 2 * cap_) Compact();
+  }
+
+  // Candidates below the cut — compacted away or never visited — exist
+  // exactly when more were visited than kept: a walk's early exit needs
+  // a compact, and a compact needs 2*cap visited candidates.
+  CelfSeededHeap Finish() {
+    if (keep_.size() > cap_) Compact();
+    CelfSeededHeap out;
+    out.truncated = visited_ > keep_.size();
+    if (out.truncated) out.theta = theta_;
+    out.heap = CelfHeap(CelfWorse(), std::move(keep_));
+    return out;
+  }
+
+ private:
+  void Compact() {
+    std::nth_element(keep_.begin(),
+                     keep_.begin() + static_cast<ptrdiff_t>(cap_ - 1),
+                     keep_.end(),
+                     [](const CelfHeapEntry& a, const CelfHeapEntry& b) {
+                       return CelfWorse()(b, a);
+                     });
+    keep_.resize(cap_);
+    theta_ = keep_[cap_ - 1];
+  }
+
+  size_t cap_;
+  uint32_t round_;
+  std::vector<CelfHeapEntry> keep_;
+  CelfHeapEntry theta_{kNegInf, 0, 0};
+  size_t visited_ = 0;
+};
 
 }  // namespace
 
-// Collect-and-compact top-cap selection (see the exactness comment block
-// in greedy_solver.cc, which this generalizes to a shard range):
-// candidates above the running threshold are appended to a 2*cap buffer
-// cut back to the exact top `cap` (nth_element by pair order) whenever it
-// fills — O(1) amortized per survivor instead of a push_heap. (gain, id)
-// pairs are unique, so the kept set does not depend on nth_element's
-// implementation.
-CelfSeededHeap BuildCelfSeed(const CoverState& state, const Bitset& excluded,
-                             size_t begin, size_t end,
-                             std::span<const double> gains, size_t cap,
-                             uint32_t round, uint64_t* gain_evals) {
-  const auto best_first = [](const CelfHeapEntry& a, const CelfHeapEntry& b) {
-    return CelfWorse()(b, a);
-  };
-  std::vector<CelfHeapEntry> keep;
-  keep.reserve(2 * cap);
-  size_t candidates = 0;
-  double theta_gain = kNegInf;  // nothing is cut until the first compact
-  NodeId theta_node = 0;
-  const auto compact = [&] {
-    std::nth_element(keep.begin(),
-                     keep.begin() + static_cast<ptrdiff_t>(cap - 1),
-                     keep.end(), best_first);
-    keep.resize(cap);
-    theta_gain = keep[cap - 1].gain;
-    theta_node = keep[cap - 1].node;
-  };
-  ForEachCandidateInRange(state.retained(), excluded, begin, end,
-                          [&](NodeId v) {
-    ++candidates;
-    ++*gain_evals;
-    const double g = gains[v];
-    if (g < theta_gain || (g == theta_gain && v > theta_node)) return;
-    keep.push_back({g, v, round});
-    if (keep.size() == 2 * cap) compact();
-  });
-  if (keep.size() > cap) compact();
-  CelfSeededHeap out;
-  out.truncated = candidates > keep.size();
-  if (out.truncated) out.theta = {theta_gain, theta_node, round};
-  out.heap = CelfHeap(CelfWorse(), std::move(keep));
-  return out;
-}
-
-// Bound-ordered walk with exact early exit (the kernel-tier seed; see the
-// comment block in greedy_solver.cc). theta is the last compact's cut — a
-// lower bound on the running exact threshold — so the stop test is
-// conservative: it can only visit extra nodes, never skip a needed one.
-CelfSeededHeap BuildCelfSeedBounded(const CoverState& state,
-                                    const Bitset& excluded, size_t begin,
-                                    size_t end, size_t cap, uint32_t round,
-                                    size_t live_candidates,
-                                    uint64_t* gain_evals) {
-  const auto best_first = [](const CelfHeapEntry& a, const CelfHeapEntry& b) {
-    return CelfWorse()(b, a);
-  };
-  const PreferenceGraph& graph = state.graph();
-  const std::span<const double> bounds = graph.StaticGainBounds();
-  const Bitset& retained = state.retained();
-  std::vector<CelfHeapEntry> keep;
-  keep.reserve(2 * cap);
-  double theta_gain = kNegInf;  // nothing is cut until the first compact
-  NodeId theta_node = 0;
-  const auto compact = [&] {
-    std::nth_element(keep.begin(),
-                     keep.begin() + static_cast<ptrdiff_t>(cap - 1),
-                     keep.end(), best_first);
-    keep.resize(cap);
-    theta_gain = keep[cap - 1].gain;
-    theta_node = keep[cap - 1].node;
-  };
-  for (const NodeId v : graph.NodesByStaticGainBound()) {
-    // Strict: a bound that ties theta can still hide a gain that ties
-    // theta with a smaller id, which would outrank it in pair order.
-    if (bounds[v] < theta_gain) break;
-    if (v < begin || v >= end) continue;
-    if (retained.Test(v) || excluded.Test(v)) continue;
-    const double g = state.GainOf(v);
-    ++*gain_evals;
-    if (g < theta_gain || (g == theta_gain && v > theta_node)) continue;
-    keep.push_back({g, v, round});
-    if (keep.size() == 2 * cap) compact();
-  }
-  if (keep.size() > cap) compact();
-  CelfSeededHeap out;
-  // Candidates below the cut — whether filtered or never visited — were
-  // truncated exactly when fewer entries were kept than candidates exist.
-  out.truncated = live_candidates > keep.size();
-  if (out.truncated) out.theta = {theta_gain, theta_node, round};
-  out.heap = CelfHeap(CelfWorse(), std::move(keep));
-  return out;
+size_t ShardSeedCapacity(size_t seed_heap_capacity, size_t shards) {
+  const size_t cap = seed_heap_capacity > 0 ? seed_heap_capacity
+                                            : kDefaultSeedHeapCapacity;
+  shards = std::max<size_t>(shards, 1);
+  return cap / shards + (cap % shards != 0 ? 1 : 0);
 }
 
 CelfShardEngine::CelfShardEngine(const CoverState* state,
-                                 const Bitset* excluded, Config config)
+                                 const Bitset* excluded,
+                                 const Config& config)
     : state_(state),
       excluded_(excluded),
-      shard_begin_(config.shard_begin),
-      shard_end_(config.shard_end),
-      live_candidates_(0) {
-  const size_t n = state_->graph().NumNodes();
-  if (shard_end_ == 0 && shard_begin_ == 0) shard_end_ = n;
-  shard_end_ = std::min(shard_end_, n);
-  shard_begin_ = std::min(shard_begin_, shard_end_);
+      shard_end_(std::min(config.shard_end, state->graph().NumNodes())),
+      costs_(config.costs),
+      seed_order_(config.seed_order.empty()
+                      ? state->graph().NodesByStaticGainBound()
+                      : config.seed_order),
+      filter_(config.filter) {
+  shard_begin_ = std::min(config.shard_begin, shard_end_);
   const size_t cap = config.seed_heap_capacity > 0
                          ? config.seed_heap_capacity
-                         : kDefaultCelfSeedCapacity;
-  seed_cap_ = std::max<size_t>(
-      1, std::min(cap, shard_end_ - shard_begin_));
-  ForEachCandidateInRange(state_->retained(), *excluded_, shard_begin_,
-                          shard_end_, [&](NodeId) { ++live_candidates_; });
+                         : kDefaultSeedHeapCapacity;
+  seed_cap_ = std::max<size_t>(1, std::min(cap, shard_end_ - shard_begin_));
 }
 
 void CelfShardEngine::Reseed() {
   obs::Span seed_span("solver.init_heap", "solver");
   seed_span.Arg("n", static_cast<uint64_t>(shard_end_ - shard_begin_));
-  if (state_->simd_level() != SimdLevel::kScalar) {
-    seeded_ = BuildCelfSeedBounded(*state_, *excluded_, shard_begin_,
-                                   shard_end_, seed_cap_, round_,
-                                   live_candidates_,
-                                   &counters_.gain_evaluations);
-    return;
+  SeedKeeper keeper(seed_cap_, round_);
+  if (shard_begin_ == shard_end_) {
+    // An empty shard has nothing to seed (and nothing to walk for).
+  } else if (state_->simd_level() != SimdLevel::kScalar) {
+    const std::span<const double> bounds =
+        state_->graph().StaticGainBounds();
+    const Bitset& retained = state_->retained();
+    for (const NodeId v : seed_order_) {
+      // Strict: a bound that ties the cut can still hide a key that ties
+      // it with a smaller id, which would outrank it in pair order.
+      if (Key(v, bounds[v]) < keeper.cut()) break;
+      if (v < shard_begin_ || v >= shard_end_) continue;
+      if (retained.Test(v) || excluded_->Test(v) || !Admissible(v)) continue;
+      ++counters_.gain_evaluations;
+      keeper.Offer(Key(v, state_->GainOf(v)), v);
+    }
+  } else {
+    // Scalar tier: one batch gain sweep over the shard. The buffer is
+    // indexed by absolute node id (GainsInto's contract), so it spans
+    // [0, shard_end_) even for a tail shard; allocated once and reused
+    // across refills.
+    if (gains_.empty()) gains_.resize(shard_end_);
+    state_->GainsInto(shard_begin_, shard_end_, gains_);
+    ForEachCandidateInRange(state_->retained(), *excluded_, shard_begin_,
+                            shard_end_, [&](NodeId v) {
+                              if (!Admissible(v)) return;
+                              ++counters_.gain_evaluations;
+                              keeper.Offer(Key(v, gains_[v]), v);
+                            });
   }
-  // Scalar tier: the literal reference — one batch gain sweep over the
-  // shard, cut to the top seed_cap_. The buffer is indexed by absolute
-  // node id (GainsInto's contract), so it spans [0, shard_end_) even for
-  // a tail shard; allocated once and reused across refills.
-  if (gains_.empty()) {
-    gains_.resize(shard_end_);
-  }
-  state_->GainsInto(shard_begin_, shard_end_, gains_);
-  seeded_ = BuildCelfSeed(*state_, *excluded_, shard_begin_, shard_end_,
-                          gains_, seed_cap_, round_,
-                          &counters_.gain_evaluations);
+  seeded_ = keeper.Finish();
 }
 
 CandidateProposal CelfShardEngine::Propose() {
@@ -171,11 +150,12 @@ CandidateProposal CelfShardEngine::Propose() {
     CelfHeapEntry top = heap.top();
     heap.pop();
     ++counters_.heap_pops;
-    if (state_->IsRetained(top.node)) continue;
+    // Inadmissibility is permanent, so dead entries are dropped.
+    if (state_->IsRetained(top.node) || !Admissible(top.node)) continue;
     if (top.round != round_) {
-      // Submodularity: the true gain can only be <= the stale value, so
+      // Submodularity: the true key can only be <= the stale value, so
       // after refreshing, re-inserting preserves heap correctness.
-      top.gain = state_->GainOf(top.node);
+      top.gain = Key(top.node, state_->GainOf(top.node));
       top.round = round_;
       ++counters_.gain_evaluations;
       ++counters_.stale_refreshes;
@@ -190,8 +170,8 @@ CandidateProposal CelfShardEngine::Propose() {
       Reseed();
       continue;
     }
-    // A fresh top dominates every other entry's stored gain, and stored
-    // gains upper-bound true gains, so this is exactly the shard's
+    // A fresh top dominates every other entry's stored key, and stored
+    // keys upper-bound true keys, so this is exactly the shard's
     // plain-greedy argmax. Held out of the heap until OnCommitted.
     pending_ = top;
     return {true, top.gain, top.node};
@@ -208,31 +188,7 @@ void CelfShardEngine::OnCommitted(NodeId winner) {
     }
     pending_.reset();
   }
-  if (winner >= shard_begin_ && winner < shard_end_) {
-    --live_candidates_;  // the winner left this shard's candidate pool
-  }
   ++round_;
-}
-
-LazyCandidateEvaluator::LazyCandidateEvaluator(const EvaluatorContext& context)
-    : engine_(context.state, context.excluded,
-              CelfShardEngine::Config{
-                  0, context.graph->NumNodes(),
-                  context.options != nullptr
-                      ? context.options->seed_heap_capacity
-                      : 0}) {}
-
-Result<CandidateProposal> LazyCandidateEvaluator::BestCandidate() {
-  return engine_.Propose();
-}
-
-Status LazyCandidateEvaluator::CommitWinner(NodeId v) {
-  engine_.OnCommitted(v);
-  return Status::OK();
-}
-
-void LazyCandidateEvaluator::DrainCounters(EvaluatorCounters* into) {
-  engine_.DrainCounters(into);
 }
 
 }  // namespace prefcover

@@ -1,14 +1,18 @@
 // The round-scoped candidate-evaluation interface the greedy driver loop
-// solves against, plus the reusable shard-restricted CELF engine that
-// backs both implementations:
+// (SolveGreedyWithEvaluator, core/greedy_solver.h) solves against, plus
+// the one CELF engine every lazy execution runs:
 //
-//   - LazyCandidateEvaluator: the in-process kernel-backed execution —
-//     exactly the threshold-seeded, bound-ordered lazy CELF that
-//     SolveGreedyLazy has always run, restructured behind the interface;
+//   - the scan evaluator (SolveGreedy / SolveGreedyParallel): every round
+//     computes every candidate's exact gain, in chunks on an optional
+//     pool;
+//   - the CELF evaluator (SolveGreedyLazy / SolveGreedyLazyParallel): N
+//     CelfShardEngines over contiguous shards, one pool dispatch per
+//     round;
+//   - the constrained evaluator (SolveConstrainedCover): one
+//     CelfShardEngine keyed by gain/cost with an admissibility filter;
 //   - DistributedCandidateEvaluator (src/dist/distributed_solver.h): the
 //     coordinator side of the multi-process sharded solve, where each
-//     worker process runs a CelfShardEngine over its contiguous candidate
-//     shard and the coordinator merges per-round proposals.
+//     worker process runs a CelfShardEngine over its shard.
 //
 // The contract is deliberately tiny — one exact argmax per round, one
 // commit per selection — because that is all Algorithm 1 needs:
@@ -16,25 +20,24 @@
 //   BestCandidate()   the exact (gain, id)-argmax over every live
 //                     candidate, with ties broken toward the smaller id
 //                     (the canonical tie-break every execution shares).
-//                     Must be exact, not approximate: the distributed
-//                     solve's byte-identity to SolveGreedyLazy rests on
-//                     every evaluator returning the plain-greedy argmax.
+//                     Must be exact, not approximate: byte-identity
+//                     across executions rests on every evaluator
+//                     returning the plain-greedy argmax.
 //   CommitWinner(v)   called after the driver applied AddNode(v) to the
 //                     shared CoverState; the evaluator updates its own
 //                     bookkeeping (heap round, remote shard residuals).
 //
-// Shard decomposition note (the GreeDIMM argument): candidates are
-// partitioned across engines, every engine sees the full residual state,
-// and max over per-shard exact argmaxes == the global exact argmax. The
-// greedy selection sequence — and therefore the (1 - 1/e) guarantee —
-// survives the decomposition unchanged.
+// Shard decomposition (the GreeDIMM argument): candidates are partitioned
+// across engines, every engine sees the full residual state, and the max
+// over per-shard exact argmaxes (BetterProposal) is the global exact
+// argmax. The greedy selection sequence — and therefore the (1 - 1/e)
+// guarantee — survives the decomposition unchanged.
 
 #ifndef PREFCOVER_CORE_CANDIDATE_EVALUATOR_H_
 #define PREFCOVER_CORE_CANDIDATE_EVALUATOR_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <span>
@@ -52,11 +55,24 @@ struct GreedyOptions;  // core/greedy_solver.h
 
 /// \brief One round's winning candidate. `found == false` means the
 /// evaluator has no live candidate left (every node retained/excluded).
+/// `gain` is the engine's key: the marginal gain, or gain/cost for a
+/// cost-keyed engine.
 struct CandidateProposal {
   bool found = false;
   double gain = 0.0;
   NodeId node = kInvalidNode;
 };
+
+/// \brief The GreeDIMM merge: true when `a` beats `b` — found, larger
+/// gain, ties toward the smaller id. Folding a shard's proposals with it
+/// in any order yields the global exact argmax.
+inline bool BetterProposal(const CandidateProposal& a,
+                           const CandidateProposal& b) {
+  if (!a.found) return false;
+  if (!b.found) return true;
+  if (a.gain != b.gain) return a.gain > b.gain;
+  return a.node < b.node;
+}
 
 /// \brief Work tallies an evaluator accumulates between driver drains
 /// (the driver folds them into the run-scoped solver.* counters once per
@@ -66,12 +82,17 @@ struct EvaluatorCounters {
   uint64_t heap_pops = 0;
   uint64_t stale_refreshes = 0;
   uint64_t seed_refills = 0;
+  /// Pool dispatches and the work items they carried.
+  uint64_t parallel_batches = 0;
+  uint64_t parallel_items = 0;
 
   void MergeFrom(EvaluatorCounters* other) {
     gain_evaluations += other->gain_evaluations;
     heap_pops += other->heap_pops;
     stale_refreshes += other->stale_refreshes;
     seed_refills += other->seed_refills;
+    parallel_batches += other->parallel_batches;
+    parallel_items += other->parallel_items;
     *other = EvaluatorCounters();
   }
 };
@@ -85,7 +106,6 @@ struct EvaluatorContext {
   /// gains/residuals from it and must not mutate it.
   CoverState* state = nullptr;
   const Bitset* excluded = nullptr;
-  size_t num_excluded = 0;
   /// Items already committed (force_include or checkpoint resume), in
   /// selection order. The factory runs after the driver replayed them.
   const std::vector<NodeId>* committed = nullptr;
@@ -93,8 +113,8 @@ struct EvaluatorContext {
   const GreedyOptions* options = nullptr;
 };
 
-/// \brief Round-scoped candidate evaluation: the interface both the
-/// in-process and the distributed greedy executions implement.
+/// \brief Round-scoped candidate evaluation: the interface every greedy
+/// execution implements.
 class CandidateEvaluator {
  public:
   virtual ~CandidateEvaluator() = default;
@@ -113,26 +133,27 @@ class CandidateEvaluator {
   virtual void DrainCounters(EvaluatorCounters* into) { (void)into; }
 
   /// End-of-run hook: lets an evaluator fold execution-wide telemetry
-  /// (e.g. the distributed workers' counters) into the solution stats.
+  /// (the pool width, the distributed workers' counters) into the
+  /// solution stats.
   virtual Status Finish(SolverStats* stats) {
     (void)stats;
     return Status::OK();
   }
 };
 
-// --- CELF machinery shared by the lazy executions and the shard engine --
+// --- The CELF engine ----------------------------------------------------
 
-/// \brief Lazy-greedy heap entry: a (gain, node) pair tagged with the
-/// selection round the gain was computed in; entries from earlier rounds
+/// \brief Lazy-greedy heap entry: a (key, node) pair tagged with the
+/// selection round the key was computed in; entries from earlier rounds
 /// are stale upper bounds (submodularity) and are refreshed before they
-/// can win.
+/// can win. The key is the gain, or gain/cost for a cost-keyed engine.
 struct CelfHeapEntry {
   double gain;
   NodeId node;
   uint32_t round;
 };
 
-/// \brief Heap order: larger gain first, ties toward the smaller id —
+/// \brief Heap order: larger key first, ties toward the smaller id —
 /// exactly the plain greedy scan's strict-> tie-break.
 struct CelfWorse {
   bool operator()(const CelfHeapEntry& a, const CelfHeapEntry& b) const {
@@ -145,10 +166,10 @@ using CelfHeap = std::priority_queue<CelfHeapEntry,
                                      std::vector<CelfHeapEntry>, CelfWorse>;
 
 /// \brief A threshold-seeded CELF heap: the exact top-`cap` candidates by
-/// (gain, id) order plus the cut threshold theta (the worst kept entry)
-/// when candidates were cut. See greedy_solver.cc's exactness argument:
-/// while the selection front stays at or above theta the cut pool cannot
-/// hold the argmax; the moment it might, the owner refills.
+/// (key, id) order plus the cut threshold theta (the worst kept entry)
+/// when candidates were cut. While the selection front stays at or above
+/// theta the cut pool cannot hold the argmax; the moment it might, the
+/// engine refills.
 struct CelfSeededHeap {
   CelfHeap heap;
   CelfHeapEntry theta{0.0, 0, 0};
@@ -189,57 +210,72 @@ void ForEachCandidateInRange(const Bitset& retained, const Bitset& excluded,
   }
 }
 
-/// \brief Streams the candidates of [begin, end) over batch-computed
-/// `gains` (indexed by node id), keeping the exact top `cap` entries by
-/// (gain, id). Tallies one gain evaluation per candidate into
-/// `*gain_evals` (the batch sweep computed them all). The scalar-tier
-/// seed path; see greedy_solver.cc for the collect-and-compact argument.
-CelfSeededHeap BuildCelfSeed(const CoverState& state, const Bitset& excluded,
-                             size_t begin, size_t end,
-                             std::span<const double> gains, size_t cap,
-                             uint32_t round, uint64_t* gain_evals);
+/// \brief Which candidates a CelfShardEngine may propose beyond "not
+/// retained, not excluded" (the constrained solve's budget and quota
+/// room). Must be monotone: a candidate that turns inadmissible stays so
+/// for the rest of the solve, so the engine drops it for good.
+class CandidateFilter {
+ public:
+  virtual ~CandidateFilter() = default;
+  virtual bool Admissible(NodeId v) const = 0;
+};
 
-/// \brief Bound-ordered seed for the kernel tiers: walks the graph's
-/// descending static-gain-bound order, evaluating exact gains only for
-/// candidates in [begin, end), and stops once the running threshold
-/// exceeds every remaining bound. `live_candidates` is the number of
-/// unretained, unexcluded nodes currently in the range (the builder
-/// cannot count them itself — the early exit is the whole point). The
-/// kept set is the exact top `cap` by (gain, id) — identical to
-/// BuildCelfSeed's — so every tier selects identical node sequences.
-CelfSeededHeap BuildCelfSeedBounded(const CoverState& state,
-                                    const Bitset& excluded, size_t begin,
-                                    size_t end, size_t cap, uint32_t round,
-                                    size_t live_candidates,
-                                    uint64_t* gain_evals);
+/// \brief The default seed-heap capacity T (GreedyOptions::
+/// seed_heap_capacity == 0).
+inline constexpr size_t kDefaultSeedHeapCapacity = 1024;
 
-/// \brief Lazy CELF over one contiguous candidate shard [begin, end):
-/// the per-shard engine of the distributed solve, and (over the full
-/// range) the machinery behind LazyCandidateEvaluator.
+/// \brief Per-shard seed capacity when `shards` engines split the
+/// candidate range: ceil(T / shards), where T is `seed_heap_capacity`
+/// (0 = the default). The one rule the in-process CELF evaluator and the
+/// distributed coordinator share; T = n stays exhaustive, since no shard
+/// is larger than ceil(n / shards).
+size_t ShardSeedCapacity(size_t seed_heap_capacity, size_t shards);
+
+/// \brief Lazy CELF over one contiguous candidate shard [begin, end): the
+/// engine of every lazy execution — in-process (one engine, or one per
+/// pool thread), constrained (cost-keyed, filtered) and distributed (one
+/// per worker process).
 ///
 /// Propose() settles the heap top to freshness and returns the shard's
-/// exact (gain, id)-argmax against the current CoverState — without
+/// exact (key, id)-argmax against the current CoverState — without
 /// consuming it, so a proposal that loses the global merge stays
 /// available. OnCommitted(winner) must be called for *every* committed
 /// selection (any shard's): the caller has already applied AddNode, so
-/// the engine only advances its round (stored gains become stale upper
+/// the engine only advances its round (stored keys become stale upper
 /// bounds) and recycles the held proposal.
+///
+/// Seeding. Kernel tiers walk `seed_order` (descending bound(v)/cost(v))
+/// evaluating exact keys and stop once every remaining bound is below the
+/// running cut — Gain(v) <= bound(v) against any retained set, so the
+/// early exit is exact. The scalar tier is the literal reference: one
+/// batch gain sweep over the shard. Both keep the exact top
+/// `seed_heap_capacity` candidates by (key, id), so every tier selects
+/// identical node sequences; the seed is truncated when it visited more
+/// candidates than it kept.
 class CelfShardEngine {
  public:
   struct Config {
     size_t shard_begin = 0;
-    size_t shard_end = 0;  // exclusive; 0/0 means the full range
-    /// Seed-heap capacity T (0 = the lazy default, 1024), clamped to the
-    /// shard size. Purely a performance knob — the proposal sequence is
-    /// identical for every value.
+    size_t shard_end = 0;  // exclusive
+    /// Seed-heap capacity T (0 = kDefaultSeedHeapCapacity), clamped to
+    /// the shard size. Purely a performance knob — the proposal sequence
+    /// is identical for every value.
     size_t seed_heap_capacity = 0;
+    /// Per-node costs; empty = unit costs. The heap key is gain / cost.
+    std::span<const double> costs;
+    /// The bounded seed's walk order, which must be descending by
+    /// bound(v) / cost(v); empty = the graph's static-bound order.
+    std::span<const NodeId> seed_order;
+    /// Extra admissibility test; nullptr = none.
+    const CandidateFilter* filter = nullptr;
   };
 
-  /// `state` and `excluded` must outlive the engine. The state may
-  /// already contain committed selections (force_include / resume); the
-  /// seed is built against it on the first Propose().
+  /// `state`, `excluded` and everything `config` points to must outlive
+  /// the engine. The state may already contain committed selections
+  /// (force_include / resume); the seed is built against it on the first
+  /// Propose().
   CelfShardEngine(const CoverState* state, const Bitset* excluded,
-                  Config config);
+                  const Config& config);
 
   /// The shard's exact argmax for the current round (found == false when
   /// the shard has no live candidate). Repeatable until OnCommitted.
@@ -251,21 +287,23 @@ class CelfShardEngine {
 
   void DrainCounters(EvaluatorCounters* into) { into->MergeFrom(&counters_); }
 
-  size_t shard_begin() const { return shard_begin_; }
-  size_t shard_end() const { return shard_end_; }
-  uint32_t round() const { return round_; }
-
  private:
   void Reseed();
+  double Key(NodeId v, double gain) const {
+    return costs_.empty() ? gain : gain / costs_[v];
+  }
+  bool Admissible(NodeId v) const {
+    return filter_ == nullptr || filter_->Admissible(v);
+  }
 
   const CoverState* state_;
   const Bitset* excluded_;
   size_t shard_begin_;
   size_t shard_end_;
   size_t seed_cap_;
-  /// Unretained, unexcluded ids currently in [shard_begin_, shard_end_);
-  /// kept incrementally so the bounded seed knows when it truncated.
-  size_t live_candidates_;
+  std::span<const double> costs_;
+  std::span<const NodeId> seed_order_;
+  const CandidateFilter* filter_;
 
   CelfSeededHeap seeded_;
   bool seeded_once_ = false;
@@ -279,21 +317,6 @@ class CelfShardEngine {
   std::vector<double> gains_;
 
   EvaluatorCounters counters_;
-};
-
-/// \brief The in-process implementation of CandidateEvaluator: exactly
-/// SolveGreedyLazy's threshold-seeded lazy CELF over the full candidate
-/// range, kernel-backed at the state's SimdLevel.
-class LazyCandidateEvaluator : public CandidateEvaluator {
- public:
-  explicit LazyCandidateEvaluator(const EvaluatorContext& context);
-
-  Result<CandidateProposal> BestCandidate() override;
-  Status CommitWinner(NodeId v) override;
-  void DrainCounters(EvaluatorCounters* into) override;
-
- private:
-  CelfShardEngine engine_;
 };
 
 }  // namespace prefcover

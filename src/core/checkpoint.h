@@ -72,8 +72,8 @@ inline uint64_t GraphDigest(const PreferenceGraph& graph) {
 
 /// \brief Digest of everything that determines the greedy selection
 /// order: k, variant, stop_at_cover, force_include, force_exclude.
-/// Deliberately excludes batch_size/threads (every execution selects the
-/// identical sequence) and the checkpoint/cancel fields themselves, so a
+/// Deliberately excludes seed_heap_capacity/threads (every execution
+/// selects the identical sequence) and the checkpoint/cancel fields themselves, so a
 /// resume may use a different execution, pool width or cadence.
 uint64_t GreedyOptionsHash(const GreedyOptions& options, size_t k);
 

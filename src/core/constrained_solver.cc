@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <memory>
 #include <span>
 #include <string>
-#include <tuple>
 #include <utility>
 
-#include "core/cover_function.h"
+#include "core/candidate_evaluator.h"
 #include "core/cover_state.h"
-#include "core/solver_stats.h"
-#include "obs/metrics.h"
+#include "core/greedy_solver.h"
 #include "util/timer.h"
 
 namespace prefcover {
@@ -20,309 +18,233 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-// The CELF heap over gain/cost ratios. Submodularity makes gains
-// non-increasing as S grows and costs are fixed positives, so ratios are
-// non-increasing too — the standard lazy argument carries over verbatim.
-// Ties break to the smaller id, matching the unconstrained executions
-// (with unit costs the ratio IS the gain, bit for bit).
-struct RatioEntry {
-  double ratio;
-  NodeId node;
-  uint32_t round;  // selection round the ratio was computed in
-};
-struct WorseRatio {
-  bool operator()(const RatioEntry& a, const RatioEntry& b) const {
-    if (a.ratio != b.ratio) return a.ratio < b.ratio;
-    return a.node > b.node;  // smaller id wins ties
+// Category member lists, ascending (cost, id) — the order both the
+// reservation accounting and the feasibility check rely on. Empty
+// without quotas.
+std::vector<std::vector<NodeId>> CategoryMembers(const ConstraintSpec& spec,
+                                                 size_t n) {
+  std::vector<std::vector<NodeId>> members;
+  if (!spec.HasQuotas()) return members;
+  members.resize(spec.quotas.size());
+  for (NodeId v = 0; v < n; ++v) members[spec.categories[v]].push_back(v);
+  for (std::vector<NodeId>& list : members) {
+    std::sort(list.begin(), list.end(), [&](NodeId a, NodeId b) {
+      const double ca = spec.CostOf(a);
+      const double cb = spec.CostOf(b);
+      if (ca != cb) return ca < cb;
+      return a < b;
+    });
   }
-};
-using RatioHeap =
-    std::priority_queue<RatioEntry, std::vector<RatioEntry>, WorseRatio>;
-
-constexpr size_t kSeedHeapCapacity = 1024;
-
-// Everything one constrained solve tracks besides the CoverState:
-// selection order, budget/quota accounting and the telemetry tallies.
-struct ConstrainedRun {
-  ConstrainedRun(const PreferenceGraph* graph,
-                 const ConstraintSpec* run_spec, Variant variant)
-      : state(graph, variant), spec(run_spec) {
-    if (spec->HasBudget()) remaining = spec->budget;
-    if (spec->HasQuotas()) {
-      count.assign(spec->quotas.size(), 0);
-      deficit.resize(spec->quotas.size());
-      for (size_t c = 0; c < spec->quotas.size(); ++c) {
-        deficit[c] = spec->quotas[c].min_items;
-        total_deficit += deficit[c];
-      }
-    }
-  }
-
-  CoverState state;
-  const ConstraintSpec* spec;
-  std::vector<NodeId> items;
-  std::vector<double> prefix_covers;
-  double total_cost = 0.0;
-  double remaining = std::numeric_limits<double>::infinity();
-
-  // Quota accounting, indexed by category (empty without quotas).
-  std::vector<uint32_t> count;
-  std::vector<uint32_t> deficit;
-  uint64_t total_deficit = 0;
-
-  // Telemetry, folded into SolverStats (and the global registry) at the
-  // end — the hot loop stays plain integer increments.
-  uint64_t iterations = 0;
-  uint64_t gain_evaluations = 0;
-  uint64_t heap_pops = 0;
-  uint64_t stale_refreshes = 0;
-  uint64_t seed_refills = 0;
-
-  // A candidate is admissible when it is unretained, affordable, and its
-  // category is below its maximum. All three only tighten as S grows, so
-  // an inadmissible candidate is dead for the rest of the solve — popped
-  // heap entries for it are simply dropped.
-  bool Admissible(NodeId v) const {
-    if (state.IsRetained(v)) return false;
-    if (spec->CostOf(v) > remaining) return false;
-    if (!count.empty()) {
-      const uint32_t c = spec->categories[v];
-      if (count[c] >= spec->quotas[c].max_items) return false;
-    }
-    return true;
-  }
-
-  void Select(NodeId v) {
-    state.AddNode(v);
-    items.push_back(v);
-    prefix_covers.push_back(state.cover());
-    const double cost = spec->CostOf(v);
-    total_cost += cost;
-    if (spec->HasBudget()) remaining -= cost;
-    if (!count.empty()) {
-      const uint32_t c = spec->categories[v];
-      ++count[c];
-      if (deficit[c] > 0) {
-        --deficit[c];
-        --total_deficit;
-      }
-    }
-    ++iterations;
-  }
-};
-
-// Sum of the `take` cheapest unretained members of `members` (ascending
-// (cost, id) order), skipping `skip` — the budget a category still needs
-// reserved to finish its minimum quota.
-double ReserveCost(const ConstrainedRun& run,
-                   const std::vector<NodeId>& members, NodeId skip,
-                   uint32_t take) {
-  double sum = 0.0;
-  uint32_t taken = 0;
-  for (NodeId v : members) {
-    if (taken == take) break;
-    if (v == skip || run.state.IsRetained(v)) continue;
-    sum += run.spec->CostOf(v);
-    ++taken;
-  }
-  return sum;
+  return members;
 }
 
-// Phase 1: satisfy every minimum quota. Each round picks the best
+// The engine's seed walk order: descending bound(v)/cost(v), ties by id.
+// Empty with unit costs, where the engine walks the graph's precomputed
+// static-bound order — the hot unconstrained path pays no per-solve sort.
+std::vector<NodeId> RatioOrder(const PreferenceGraph& graph,
+                               const ConstraintSpec& spec) {
+  std::vector<NodeId> order;
+  if (spec.UnitCosts()) return order;
+  const std::span<const double> bounds = graph.StaticGainBounds();
+  const std::span<const NodeId> by_bound = graph.NodesByStaticGainBound();
+  order.assign(by_bound.begin(), by_bound.end());
+  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    const double ra = bounds[a] / spec.costs[a];
+    const double rb = bounds[b] / spec.costs[b];
+    if (ra != rb) return ra > rb;
+    return a < b;
+  });
+  return order;
+}
+
+// The constrained solve as an evaluator of the greedy driver. While any
+// category is below its minimum, each round is the quota fill: the best
 // gain/cost ratio among members of still-deficient categories that are
 // admissible AND leave enough of the remaining budget to finish every
 // other deficit with its cheapest members. The cheapest member of every
 // deficient category always passes that test (picking it converts its
-// own reservation into spend one-for-one), so the phase never strands a
-// minimum that the static feasibility check admitted.
-void FillMinimumQuotas(ConstrainedRun* run,
-                       const std::vector<std::vector<NodeId>>& members) {
-  const ConstraintSpec& spec = *run->spec;
-  const bool has_budget = spec.HasBudget();
-  // Per-category reservation under the current retained set.
-  std::vector<double> reserve(run->deficit.size(), 0.0);
-  double reserve_total = 0.0;
-  const auto refresh_reserves = [&] {
-    if (!has_budget) return;
-    reserve_total = 0.0;
-    for (size_t c = 0; c < run->deficit.size(); ++c) {
-      reserve[c] = run->deficit[c] == 0
-                       ? 0.0
-                       : ReserveCost(*run, members[c], kInvalidNode,
-                                     run->deficit[c]);
-      reserve_total += reserve[c];
+// own reservation into spend one-for-one), so the fill never strands a
+// minimum that the feasibility check admitted. After that, each round is
+// the CELF engine keyed by gain/cost over the admissible candidates
+// (affordable, category below its maximum) — with unit costs and no
+// constraints, bitwise the unconstrained lazy selection (gain/1.0 is the
+// gain, ties break to the smaller id in both). Zero-gain candidates are
+// still selected, matching plain greedy; only admissibility ends the
+// solve early.
+class ConstrainedEvaluator final : public CandidateEvaluator,
+                                   public CandidateFilter {
+ public:
+  ConstrainedEvaluator(const EvaluatorContext& context,
+                       const ConstraintSpec& spec)
+      : state_(context.state),
+        spec_(spec),
+        members_(CategoryMembers(spec, context.graph->NumNodes())),
+        order_(RatioOrder(*context.graph, spec)),
+        remaining_(spec.HasBudget()
+                       ? spec.budget
+                       : std::numeric_limits<double>::infinity()),
+        engine_(context.state, context.excluded, EngineConfig(context)) {
+    if (spec.HasQuotas()) {
+      count_.assign(spec.quotas.size(), 0);
+      deficit_.resize(spec.quotas.size());
+      for (size_t c = 0; c < spec.quotas.size(); ++c) {
+        deficit_[c] = spec.quotas[c].min_items;
+        total_deficit_ += deficit_[c];
+      }
     }
-  };
-  refresh_reserves();
-  while (run->total_deficit > 0) {
-    NodeId best = kInvalidNode;
-    double best_ratio = kNegInf;
-    for (size_t c = 0; c < run->deficit.size(); ++c) {
-      if (run->deficit[c] == 0) continue;
-      for (NodeId v : members[c]) {
-        if (run->state.IsRetained(v)) continue;
-        const double cost = spec.CostOf(v);
+  }
+
+  const std::vector<std::vector<NodeId>>& members() const {
+    return members_;
+  }
+
+  // A candidate is admissible when it is affordable and its category is
+  // below its maximum (the engine checks it is unretained). Both only
+  // tighten as S grows, so an inadmissible candidate is dead for the rest
+  // of the solve.
+  bool Admissible(NodeId v) const override {
+    if (spec_.CostOf(v) > remaining_) return false;
+    if (!count_.empty()) {
+      const uint32_t c = spec_.categories[v];
+      if (count_[c] >= spec_.quotas[c].max_items) return false;
+    }
+    return true;
+  }
+
+  Result<CandidateProposal> BestCandidate() override {
+    if (total_deficit_ > 0) return QuotaFill();
+    return engine_.Propose();
+  }
+
+  Status CommitWinner(NodeId v) override {
+    if (spec_.HasBudget()) remaining_ -= spec_.CostOf(v);
+    if (!count_.empty()) {
+      const uint32_t c = spec_.categories[v];
+      ++count_[c];
+      if (deficit_[c] > 0) {
+        --deficit_[c];
+        --total_deficit_;
+      }
+    }
+    engine_.OnCommitted(v);
+    return Status::OK();
+  }
+
+  void DrainCounters(EvaluatorCounters* into) override {
+    into->MergeFrom(&counters_);
+    engine_.DrainCounters(into);
+  }
+
+  // Best affordable singleton at the empty state (quota maxima
+  // respected), via the static-bound order with exact early exit.
+  // Not found when nothing is affordable.
+  CandidateProposal BestAffordableSingleton() {
+    const PreferenceGraph& graph = state_->graph();
+    const std::span<const double> bounds = graph.StaticGainBounds();
+    CandidateProposal best;
+    best.gain = kNegInf;
+    for (const NodeId v : graph.NodesByStaticGainBound()) {
+      if (bounds[v] < best.gain) break;  // strict, for equal-gain ties
+      if (spec_.CostOf(v) > spec_.budget) continue;
+      if (spec_.HasQuotas() &&
+          spec_.quotas[spec_.categories[v]].max_items < 1) {
+        continue;
+      }
+      const double gain = state_->GainOf(v);
+      ++counters_.gain_evaluations;
+      if (gain > best.gain || (gain == best.gain && v < best.node)) {
+        best = {true, gain, v};
+      }
+    }
+    return best;
+  }
+
+ private:
+  CelfShardEngine::Config EngineConfig(const EvaluatorContext& context) {
+    CelfShardEngine::Config config;
+    config.shard_end = context.graph->NumNodes();
+    config.costs = spec_.costs;
+    config.seed_order = order_;
+    // Without a budget or quotas every candidate is admissible.
+    if (spec_.HasBudget() || spec_.HasQuotas()) config.filter = this;
+    return config;
+  }
+
+  // Sum of the `take` cheapest unretained members of `members` (ascending
+  // (cost, id) order), skipping `skip` — the budget a category still
+  // needs reserved to finish its minimum quota.
+  double ReserveCost(const std::vector<NodeId>& members, NodeId skip,
+                     uint32_t take) const {
+    double sum = 0.0;
+    uint32_t taken = 0;
+    for (NodeId v : members) {
+      if (taken == take) break;
+      if (v == skip || state_->IsRetained(v)) continue;
+      sum += spec_.CostOf(v);
+      ++taken;
+    }
+    return sum;
+  }
+
+  CandidateProposal QuotaFill() {
+    const bool has_budget = spec_.HasBudget();
+    // Per-category reservation under the current retained set.
+    reserve_.assign(deficit_.size(), 0.0);
+    double reserve_total = 0.0;
+    if (has_budget) {
+      for (size_t c = 0; c < deficit_.size(); ++c) {
+        reserve_[c] = deficit_[c] == 0
+                          ? 0.0
+                          : ReserveCost(members_[c], kInvalidNode,
+                                        deficit_[c]);
+        reserve_total += reserve_[c];
+      }
+    }
+    CandidateProposal best;
+    best.gain = kNegInf;
+    for (size_t c = 0; c < deficit_.size(); ++c) {
+      if (deficit_[c] == 0) continue;
+      for (NodeId v : members_[c]) {
+        if (state_->IsRetained(v)) continue;
+        const double cost = spec_.CostOf(v);
         if (has_budget) {
-          if (cost > run->remaining) continue;
+          if (cost > remaining_) continue;
           const double reserve_after =
-              reserve_total - reserve[c] +
-              ReserveCost(*run, members[c], v, run->deficit[c] - 1);
-          if (run->remaining - cost < reserve_after) continue;
+              reserve_total - reserve_[c] +
+              ReserveCost(members_[c], v, deficit_[c] - 1);
+          if (remaining_ - cost < reserve_after) continue;
         }
-        const double gain = run->state.GainOf(v);
-        ++run->gain_evaluations;
-        const double ratio = gain / cost;
-        if (ratio > best_ratio || (ratio == best_ratio && v < best)) {
-          best_ratio = ratio;
-          best = v;
+        const double ratio = state_->GainOf(v) / cost;
+        ++counters_.gain_evaluations;
+        if (ratio > best.gain || (ratio == best.gain && v < best.node)) {
+          best = {true, ratio, v};
         }
       }
     }
-    if (best == kInvalidNode) break;  // unreachable after feasibility checks
-    run->Select(best);
-    refresh_reserves();
+    return best;
   }
-}
 
-// Threshold-seeded ratio heap, the constrained twin of the unconstrained
-// bounded seed (greedy_solver.cc): walk `order` — descending
-// bound(v)/cost(v) — evaluating exact ratios for admissible candidates,
-// keep the top `cap` by (ratio, id), and STOP once every remaining
-// bound-ratio falls below the cut: Gain(v) <= bound(v) against any
-// retained set and cost(v) > 0, so bound(v)/cost(v) caps the true ratio.
-// Unlike the unconstrained solver this single walk is the seed at every
-// SIMD level — GainOf is bit-identical across levels, so so is the seed.
-struct SeededRatioHeap {
-  RatioHeap heap;
-  RatioEntry theta{0.0, 0, 0};  // worst kept entry; valid iff truncated
-  bool truncated = false;
+  const CoverState* state_;
+  const ConstraintSpec& spec_;
+  const std::vector<std::vector<NodeId>> members_;
+  const std::vector<NodeId> order_;  // engine_'s seed walk, so declared first
+  double remaining_;
+
+  // Quota accounting, indexed by category (empty without quotas).
+  std::vector<uint32_t> count_;
+  std::vector<uint32_t> deficit_;
+  uint64_t total_deficit_ = 0;
+  std::vector<double> reserve_;
+
+  CelfShardEngine engine_;
+  EvaluatorCounters counters_;
 };
-
-SeededRatioHeap BuildRatioSeed(ConstrainedRun* run,
-                               std::span<const NodeId> order,
-                               std::span<const double> bounds, size_t cap,
-                               uint32_t round) {
-  const ConstraintSpec& spec = *run->spec;
-  const auto best_first = [](const RatioEntry& a, const RatioEntry& b) {
-    return WorseRatio()(b, a);
-  };
-  std::vector<RatioEntry> keep;
-  keep.reserve(2 * cap);
-  double theta_ratio = kNegInf;  // nothing is cut until the first compact
-  NodeId theta_node = 0;
-  const auto compact = [&] {
-    std::nth_element(keep.begin(),
-                     keep.begin() + static_cast<ptrdiff_t>(cap - 1),
-                     keep.end(), best_first);
-    keep.resize(cap);
-    theta_ratio = keep[cap - 1].ratio;
-    theta_node = keep[cap - 1].node;
-  };
-  bool early_exit = false;
-  size_t admissible_seen = 0;
-  for (const NodeId v : order) {
-    // Strict: a bound-ratio tying theta can still hide a ratio that ties
-    // theta with a smaller id, which outranks it in pair order.
-    if (bounds[v] / spec.CostOf(v) < theta_ratio) {
-      early_exit = true;
-      break;
-    }
-    if (!run->Admissible(v)) continue;
-    ++admissible_seen;
-    const double gain = run->state.GainOf(v);
-    ++run->gain_evaluations;
-    const double ratio = gain / spec.CostOf(v);
-    if (ratio < theta_ratio || (ratio == theta_ratio && v > theta_node)) {
-      continue;
-    }
-    keep.push_back({ratio, v, round});
-    if (keep.size() == 2 * cap) compact();
-  }
-  if (keep.size() > cap) compact();
-  SeededRatioHeap out;
-  // Cut candidates — filtered, compacted away, or never visited — exist
-  // exactly when the walk early-exited or kept fewer than it admitted.
-  out.truncated = early_exit || admissible_seen > keep.size();
-  if (out.truncated) out.theta = {theta_ratio, theta_node, round};
-  out.heap = RatioHeap(WorseRatio(), std::move(keep));
-  return out;
-}
-
-// Phase 2: cost-ratio CELF until the item budget k, the knapsack budget,
-// or the admissible pool runs out. Zero-gain candidates are still
-// selected (matching plain greedy, which fills k regardless) — only
-// admissibility ends the phase early.
-void RatioGreedy(ConstrainedRun* run, std::span<const NodeId> order,
-                 std::span<const double> bounds, size_t k) {
-  const ConstraintSpec& spec = *run->spec;
-  const size_t cap = std::min(kSeedHeapCapacity, order.size());
-  uint32_t round = static_cast<uint32_t>(run->items.size());
-  SeededRatioHeap seeded = BuildRatioSeed(run, order, bounds, cap, round);
-  while (run->items.size() < k) {
-    if (seeded.heap.empty()) {
-      if (!seeded.truncated) break;  // pool exhausted, not cut
-      ++run->seed_refills;
-      seeded = BuildRatioSeed(run, order, bounds, cap, round);
-      continue;
-    }
-    RatioEntry top = seeded.heap.top();
-    seeded.heap.pop();
-    ++run->heap_pops;
-    // Inadmissibility is permanent (budget and quota room only shrink),
-    // so dead entries are dropped, never reinserted.
-    if (!run->Admissible(top.node)) continue;
-    if (top.round != round) {
-      top.ratio = run->state.GainOf(top.node) / spec.CostOf(top.node);
-      top.round = round;
-      ++run->gain_evaluations;
-      ++run->stale_refreshes;
-      seeded.heap.push(top);
-      continue;
-    }
-    if (seeded.truncated && WorseRatio()(top, seeded.theta)) {
-      // The fresh front fell below the seed cut: a cut candidate may now
-      // be the true argmax. Rebuild (top's node is re-covered).
-      ++run->seed_refills;
-      seeded = BuildRatioSeed(run, order, bounds, cap, round);
-      continue;
-    }
-    run->Select(top.node);
-    ++round;
-  }
-}
-
-// Best affordable singleton at the empty state (quota maxima respected),
-// via the static-bound order with exact early exit. kInvalidNode when
-// nothing is affordable.
-std::pair<NodeId, double> BestAffordableSingleton(ConstrainedRun* run) {
-  const ConstraintSpec& spec = *run->spec;
-  const PreferenceGraph& graph = run->state.graph();
-  const std::span<const double> bounds = graph.StaticGainBounds();
-  NodeId best = kInvalidNode;
-  double best_gain = kNegInf;
-  for (const NodeId v : graph.NodesByStaticGainBound()) {
-    if (bounds[v] < best_gain) break;  // strict, for equal-gain ties
-    if (spec.CostOf(v) > spec.budget) continue;
-    if (spec.HasQuotas() &&
-        spec.quotas[spec.categories[v]].max_items < 1) {
-      continue;
-    }
-    const double gain = run->state.GainOf(v);
-    ++run->gain_evaluations;
-    if (gain > best_gain || (gain == best_gain && v < best)) {
-      best_gain = gain;
-      best = v;
-    }
-  }
-  return {best, best_gain};
-}
 
 // Feasibility of the minima against the instance: enough members per
 // category, enough item budget k in total, and (under a budget) an
 // affordable cheapest completion. These depend on k, so they live here
 // rather than in ValidateConstraintSpec.
-Status CheckQuotaFeasibility(const PreferenceGraph& graph,
-                             const ConstraintSpec& spec, size_t k,
+Status CheckQuotaFeasibility(const ConstraintSpec& spec, size_t k,
                              const std::vector<std::vector<NodeId>>& members) {
   uint64_t sum_min = 0;
   double reservation = 0.0;
@@ -353,7 +275,6 @@ Status CheckQuotaFeasibility(const PreferenceGraph& graph,
         std::to_string(reservation) + ", above the budget " +
         std::to_string(spec.budget));
   }
-  (void)graph;
   return Status::OK();
 }
 
@@ -412,103 +333,52 @@ Result<ConstrainedSolution> SolveConstrainedCover(
     const ConstrainedCoverOptions& options) {
   Stopwatch timer;
   PREFCOVER_RETURN_NOT_OK(ValidateConstraintSpec(graph, spec));
-  const size_t n = graph.NumNodes();
-  const size_t k = options.max_items == 0 ? n : options.max_items;
-  PREFCOVER_RETURN_NOT_OK(ValidateInstance(graph, k, options.variant));
-
-  // Category member lists, ascending (cost, id) — the order both the
-  // reservation accounting and the feasibility check rely on.
-  std::vector<std::vector<NodeId>> members;
-  if (spec.HasQuotas()) {
-    members.resize(spec.quotas.size());
-    for (NodeId v = 0; v < n; ++v) {
-      members[spec.categories[v]].push_back(v);
-    }
-    for (std::vector<NodeId>& list : members) {
-      std::sort(list.begin(), list.end(), [&](NodeId a, NodeId b) {
-        const double ca = spec.CostOf(a);
-        const double cb = spec.CostOf(b);
-        if (ca != cb) return ca < cb;
-        return a < b;
-      });
-    }
-    PREFCOVER_RETURN_NOT_OK(CheckQuotaFeasibility(graph, spec, k, members));
-  }
-
-  ConstrainedRun run(&graph, &spec, options.variant);
+  const size_t k =
+      options.max_items == 0 ? graph.NumNodes() : options.max_items;
+  GreedyOptions greedy_options;
+  greedy_options.variant = options.variant;
 
   // The (1 - 1/e)/2 guard: under a budget the ratio rule alone has no
   // constant factor (a cheap low-gain item can crowd out one expensive
   // high-gain item), so the best affordable singleton is computed up
-  // front — the state is still empty here — and compared at the end.
-  // Minimum quotas disable it: one item cannot satisfy several minima.
-  NodeId best_single = kInvalidNode;
-  double best_single_gain = kNegInf;
-  if (spec.HasBudget() && !spec.HasMinQuotas() && k >= 1) {
-    std::tie(best_single, best_single_gain) = BestAffordableSingleton(&run);
-  }
-
-  if (run.total_deficit > 0) FillMinimumQuotas(&run, members);
-
-  // Candidate order for the seeded heap: descending bound(v)/cost(v).
-  // With unit costs this is exactly the graph's precomputed static-bound
-  // order, so the hot unconstrained path pays no per-solve sort.
-  const std::span<const double> bounds = graph.StaticGainBounds();
-  std::vector<NodeId> ratio_order;
-  std::span<const NodeId> order = graph.NodesByStaticGainBound();
-  if (!spec.UnitCosts()) {
-    ratio_order.assign(order.begin(), order.end());
-    std::sort(ratio_order.begin(), ratio_order.end(),
-              [&](NodeId a, NodeId b) {
-                const double ra = bounds[a] / spec.costs[a];
-                const double rb = bounds[b] / spec.costs[b];
-                if (ra != rb) return ra > rb;
-                return a < b;
-              });
-    order = ratio_order;
-  }
-  RatioGreedy(&run, order, bounds, k);
+  // front — the state is still empty when the driver builds the
+  // evaluator — and compared at the end. Minimum quotas disable it: one
+  // item cannot satisfy several minima.
+  CandidateProposal single;
+  const auto factory = [&](const EvaluatorContext& context)
+      -> Result<std::unique_ptr<CandidateEvaluator>> {
+    auto evaluator = std::make_unique<ConstrainedEvaluator>(context, spec);
+    if (spec.HasQuotas()) {
+      PREFCOVER_RETURN_NOT_OK(
+          CheckQuotaFeasibility(spec, k, evaluator->members()));
+    }
+    if (spec.HasBudget() && !spec.HasMinQuotas() && k >= 1) {
+      single = evaluator->BestAffordableSingleton();
+    }
+    return std::unique_ptr<CandidateEvaluator>(std::move(evaluator));
+  };
+  PREFCOVER_ASSIGN_OR_RETURN(
+      Solution greedy, SolveGreedyWithEvaluator(graph, k, greedy_options,
+                                                factory,
+                                                "constrained-greedy"));
 
   ConstrainedSolution out;
-  out.solution.variant = options.variant;
-  out.solution.algorithm = "constrained-greedy";
-  if (best_single != kInvalidNode && best_single_gain > run.state.cover()) {
-    CoverState single(&graph, options.variant);
-    single.AddNode(best_single);
-    out.solution.items = {best_single};
-    out.solution.cover_after_prefix = {single.cover()};
-    out.solution.cover = single.cover();
-    out.solution.item_contributions = single.TakeItemContributions();
-    out.total_cost = spec.CostOf(best_single);
+  out.solution = std::move(greedy);
+  if (single.found && single.gain > out.solution.cover) {
+    CoverState state(&graph, options.variant);
+    state.AddNode(single.node);
+    out.solution.items = {single.node};
+    out.solution.cover_after_prefix = {state.cover()};
+    out.solution.cover = state.cover();
+    out.solution.item_contributions = state.TakeItemContributions();
     out.greedy_won = false;
-    if (spec.HasQuotas()) {
-      out.category_counts.assign(spec.quotas.size(), 0);
-      ++out.category_counts[spec.categories[best_single]];
-    }
-  } else {
-    out.solution.items = std::move(run.items);
-    out.solution.cover_after_prefix = std::move(run.prefix_covers);
-    out.solution.cover = run.state.cover();
-    out.solution.item_contributions = run.state.TakeItemContributions();
-    out.total_cost = run.total_cost;
-    out.category_counts = std::move(run.count);
   }
-  out.solution.stats.iterations = run.iterations;
-  out.solution.stats.gain_evaluations = run.gain_evaluations;
-  out.solution.stats.heap_pops = run.heap_pops;
-  out.solution.stats.stale_refreshes = run.stale_refreshes;
-  out.solution.stats.seed_refills = run.seed_refills;
+  if (spec.HasQuotas()) out.category_counts.assign(spec.quotas.size(), 0);
+  for (NodeId v : out.solution.items) {
+    out.total_cost += spec.CostOf(v);
+    if (spec.HasQuotas()) ++out.category_counts[spec.categories[v]];
+  }
   out.solution.solve_seconds = timer.ElapsedSeconds();
-
-  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-  global.GetCounter(solver_metric::kIterations)->Increment(run.iterations);
-  global.GetCounter(solver_metric::kGainEvaluations)
-      ->Increment(run.gain_evaluations);
-  global.GetCounter(solver_metric::kHeapPops)->Increment(run.heap_pops);
-  global.GetCounter(solver_metric::kStaleRefreshes)
-      ->Increment(run.stale_refreshes);
-  global.GetCounter(solver_metric::kSeedRefills)
-      ->Increment(run.seed_refills);
   return out;
 }
 

@@ -6,26 +6,30 @@
 // with a cost-ratio lazy greedy over the same coverage kernels the
 // unconstrained executions use.
 //
-// Algorithm. Two phases over a CELF heap ordered by gain/cost:
+// Algorithm. The greedy driver (core/greedy_solver.h) over a
+// constrained evaluator, in two phases:
 //
 //   1. Quota fill: while any category is below its minimum, pick the
 //      best-ratio admissible member of a deficient category. Under a
 //      budget, admissibility reserves enough of the remaining budget to
 //      finish every other deficit with its cheapest members, so phase 1
 //      never strands the minima (see DESIGN.md "Constrained covers").
-//   2. Free selection: plain cost-ratio lazy greedy over all admissible
-//      candidates (affordable, category below its max) until the item
-//      budget k, the knapsack budget, or the candidate pool runs out.
+//   2. Free selection: the one CELF engine (CelfShardEngine) keyed by
+//      gain/cost, with an admissibility filter (affordable, category
+//      below its max), until the item budget k, the knapsack budget, or
+//      the candidate pool runs out.
 //
-// The heap reuses the PR 6 machinery: gains come from the coverage
-// kernels (bit-identical at every SIMD level), and the seed walks the
-// static gain-bound order by descending bound(v)/cost(v) — Gain(v) <=
-// bound(v) against any retained set and costs are positive, so
-// bound(v)/cost(v) upper-bounds the ratio and the walk early-exits
-// exactly like the unconstrained bounded seed. Solutions are therefore
-// byte-identical across scalar/word/avx2, and with unit costs and no
-// constraints the selection reduces bitwise to SolveGreedy's (gain/1.0
-// is the gain, ties break to the smaller id in both).
+// Gains are non-increasing as S grows and costs are fixed positives, so
+// ratios are non-increasing too and the lazy argument carries over. The
+// engine's kernel-tier seed walks the static gain-bound order by
+// descending bound(v)/cost(v) — Gain(v) <= bound(v) against any retained
+// set and costs are positive, so bound(v)/cost(v) upper-bounds the ratio
+// and the walk early-exits exactly like the unconstrained one; the
+// scalar tier sweeps every candidate and keeps the same exact top set.
+// Solutions are therefore byte-identical across scalar/word/avx2, and
+// with unit costs
+// and no constraints the selection reduces bitwise to SolveGreedy's
+// (gain/1.0 is the gain, ties break to the smaller id in both).
 //
 // Guarantee. With a budget and no minimum quotas, the returned solution
 // is the better of the ratio-greedy run and the best affordable

@@ -1,12 +1,9 @@
 #include "core/greedy_solver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <numbers>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -24,26 +21,13 @@ namespace prefcover {
 
 namespace {
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// Word-parallel candidate enumeration over the full node range (the
-// shard-ranged generalization lives in core/candidate_evaluator.h, shared
-// with the distributed shard engine).
-template <typename Fn>
-void ForEachCandidate(const Bitset& retained, const Bitset& excluded,
-                      Fn&& fn) {
-  ForEachCandidateInRange(retained, excluded, 0, retained.size(),
-                          std::forward<Fn>(fn));
-}
-
-// Working set shared by the four executions: the incremental cover state,
+// The one run state every execution shares: the incremental cover state,
 // the partial solution, the exclusion mask and the telemetry instruments.
 //
 // Telemetry lives in a run-scoped MetricsRegistry (SolverStats is built
-// as a view over its snapshot at the end). Parallel workers bump the
-// sharded counters directly; the serial hot loops accumulate into the
-// `pending_*` tallies, flushed at each selection round so the inner scans
-// stay plain integer increments.
+// as a view over its snapshot at the end). Evaluators accumulate plain
+// integer tallies, which the driver folds into the counters once per
+// selection round.
 struct GreedyRun {
   GreedyRun(const PreferenceGraph* graph, Variant variant)
       : state(graph, variant),
@@ -62,7 +46,6 @@ struct GreedyRun {
   std::vector<NodeId> items;
   std::vector<double> prefix_covers;
   Bitset excluded;
-  size_t num_excluded = 0;  // popcount of `excluded`, fixed at init
 
   obs::MetricsRegistry metrics;  // run-scoped; declared before handles
   obs::Counter* iterations;
@@ -73,17 +56,12 @@ struct GreedyRun {
   obs::Counter* parallel_batches;
   obs::Counter* parallel_items;
 
-  // Serial-path tallies, flushed into the counters once per round.
-  uint64_t pending_gain_evals = 0;
-  uint64_t pending_heap_pops = 0;
-  uint64_t pending_stale_refreshes = 0;
-
   // Counter readings at the previous round boundary, for the per-round
   // deltas attached to "solver.round" trace events.
   uint64_t prev_gain_evals = 0;
   uint64_t prev_stale_refreshes = 0;
 
-  SolverStats stats;  // timing / threads / batch fields only, until Finish
+  SolverStats stats;  // timing / threads fields only, until Finish
   Stopwatch iteration_timer;
 
   // Cooperative cancellation + periodic checkpointing (both optional).
@@ -135,19 +113,18 @@ struct GreedyRun {
     }
   }
 
-  void FlushPending() {
-    if (pending_gain_evals > 0) {
-      gain_evaluations->Increment(pending_gain_evals);
-      pending_gain_evals = 0;
-    }
-    if (pending_heap_pops > 0) {
-      heap_pops->Increment(pending_heap_pops);
-      pending_heap_pops = 0;
-    }
-    if (pending_stale_refreshes > 0) {
-      stale_refreshes->Increment(pending_stale_refreshes);
-      pending_stale_refreshes = 0;
-    }
+  // Folds an evaluator's drained work tallies into the counters; called
+  // before Select, so a round's work lands in that round's trace deltas.
+  void Tally(const EvaluatorCounters& tally) {
+    const auto add = [](obs::Counter* counter, uint64_t delta) {
+      if (delta > 0) counter->Increment(delta);
+    };
+    add(gain_evaluations, tally.gain_evaluations);
+    add(heap_pops, tally.heap_pops);
+    add(stale_refreshes, tally.stale_refreshes);
+    add(seed_refills, tally.seed_refills);
+    add(parallel_batches, tally.parallel_batches);
+    add(parallel_items, tally.parallel_items);
   }
 
   // Commits one greedy selection, records its wall time, and emits the
@@ -156,7 +133,6 @@ struct GreedyRun {
     state.AddNode(v);
     items.push_back(v);
     prefix_covers.push_back(state.cover());
-    FlushPending();
     iterations->Increment();
     double seconds = iteration_timer.ElapsedSeconds();
     stats.total_iteration_seconds += seconds;
@@ -195,7 +171,6 @@ Status InitGreedyRun(const PreferenceGraph& graph, size_t k,
   run->prefix_covers.reserve(k);
   run->excluded = Bitset(graph.NumNodes());
   for (NodeId v : options.force_exclude) run->excluded.Set(v);
-  run->num_excluded = options.force_exclude.size();  // validated distinct
   // A resume prefix replaces force_include seeding: a validated
   // checkpoint prefix already begins with the forced items. Replaying
   // AddNode over it reproduces the exact cover state (and the exact
@@ -244,7 +219,6 @@ Status InitGreedyRun(const PreferenceGraph& graph, size_t k,
 
 Solution FinishSolution(GreedyRun&& run, Variant variant,
                         const char* algorithm, double seconds) {
-  run.FlushPending();
   // A truncated run writes one final checkpoint so a later resume starts
   // from everything that was selected, not the last cadence boundary.
   if (run.truncated) run.MaybeCheckpoint(/*force=*/true);
@@ -309,130 +283,151 @@ Status ValidateGreedyOptions(const PreferenceGraph& graph, size_t k,
   return Status::OK();
 }
 
-Result<Solution> SolveGreedy(const PreferenceGraph& graph, size_t k,
-                             const GreedyOptions& options) {
-  PREFCOVER_RETURN_NOT_OK(ValidateInstance(graph, k, options.variant));
-  Stopwatch timer;
-  obs::Span solve_span("solver.solve", "solver");
-  solve_span.Arg("algorithm", "greedy");
-  solve_span.Arg("k", static_cast<uint64_t>(k));
-  GreedyRun run(&graph, options.variant);
-  PREFCOVER_RETURN_NOT_OK(InitGreedyRun(graph, k, options, &run));
-  solve_span.Arg("simd", SimdLevelName(run.state.simd_level()).data());
+namespace {
 
-  // Per-round scratch for the batch gain sweep: one streaming kernel
-  // call computes every node's gain, then the candidate scan reduces.
-  // Uninitialized on purpose — every sweep overwrites [0, n) first.
-  const auto gains_buf =
-      std::make_unique_for_overwrite<double[]>(graph.NumNodes());
-  const std::span<double> gains(gains_buf.get(), graph.NumNodes());
-  while (run.items.size() < k) {
-    if (run.ShouldStop()) break;
-    if (run.state.cover() >= options.stop_at_cover) break;
-    run.state.GainsInto(0, graph.NumNodes(), gains);
-    double best_gain = -1.0;
-    NodeId best = kInvalidNode;
-    ForEachCandidate(run.state.retained(), run.excluded, [&](NodeId v) {
-      double gain = gains[v];
-      ++run.pending_gain_evals;
-      if (gain > best_gain) {  // strict: ties keep the smaller id
-        best_gain = gain;
-        best = v;
-      }
+// The plain and parallel executions: every round computes every
+// candidate's exact gain. [0, n) is fanned into the pool's chunks (one
+// chunk without a pool — the literal O(nkD) loop); each chunk runs one
+// batch GainsInto over its range and a strict-> argmax in ascending id
+// order, and the chunk winners merge in chunk order, so ties keep the
+// smaller id exactly as one serial scan would.
+class ScanEvaluator final : public CandidateEvaluator {
+ public:
+  ScanEvaluator(const EvaluatorContext& context, ThreadPool* pool)
+      : state_(context.state),
+        excluded_(context.excluded),
+        pool_(pool),
+        n_(context.graph->NumNodes()),
+        // Uninitialized on purpose — every round overwrites [0, n).
+        gains_(std::make_unique_for_overwrite<double[]>(n_)),
+        chunks_(pool == nullptr ? 1 : pool->num_threads()) {}
+
+  Result<CandidateProposal> BestCandidate() override {
+    ParallelForChunked(pool_, 0, n_, [this](size_t lo, size_t hi,
+                                            size_t c) {
+      chunks_[c] = ScanChunk(lo, hi);
     });
-    if (best == kInvalidNode) break;  // all nodes retained
-    run.Select(best);
+    CandidateProposal best;
+    for (Chunk& chunk : chunks_) {
+      if (BetterProposal(chunk.best, best)) best = chunk.best;
+      counters_.gain_evaluations += chunk.candidates;
+      chunk = Chunk();
+    }
+    if (pool_ != nullptr) {
+      ++counters_.parallel_batches;
+      counters_.parallel_items += n_;
+    }
+    return best;
   }
-  return FinishSolution(std::move(run), options.variant, "greedy",
-                        timer.ElapsedSeconds());
-}
 
-Result<Solution> SolveGreedyParallel(const PreferenceGraph& graph, size_t k,
-                                     ThreadPool* pool,
-                                     const GreedyOptions& options) {
-  PREFCOVER_RETURN_NOT_OK(ValidateInstance(graph, k, options.variant));
-  Stopwatch timer;
-  obs::Span solve_span("solver.solve", "solver");
-  solve_span.Arg("algorithm", "greedy-parallel");
-  solve_span.Arg("k", static_cast<uint64_t>(k));
-  const size_t n = graph.NumNodes();
-  GreedyRun run(&graph, options.variant);
-  PREFCOVER_RETURN_NOT_OK(InitGreedyRun(graph, k, options, &run));
-  solve_span.Arg("simd", SimdLevelName(run.state.simd_level()).data());
-  run.stats.threads = pool == nullptr ? 1 : pool->num_threads();
+  Status CommitWinner(NodeId) override { return Status::OK(); }
 
-  while (run.items.size() < k) {
-    if (run.ShouldStop()) break;
-    if (run.state.cover() >= options.stop_at_cover) break;
-    // Forward the token only once truncation is permissible: the first
-    // selection's scan must run to completion (both the nonempty-prefix
-    // guarantee and the prefix-of-the-deterministic-order property need
-    // a complete argmax).
-    const CancelToken* round_cancel =
-        run.items.empty() ? nullptr : options.cancel;
-    double best_gain = kNegInf;
-    size_t best = ParallelArgMax(
-        pool, n,
-        [&run](size_t v) {
-          NodeId node = static_cast<NodeId>(v);
-          if (run.state.IsRetained(node) || run.excluded.Test(node)) {
-            return kNegInf;
-          }
-          // Sharded counter: workers each hit their own cell.
-          run.gain_evaluations->Increment();
-          return run.state.GainOf(node);
-        },
-        &best_gain, round_cancel);
-    // A cancelled argmax may have skipped chunks; discard the round
-    // rather than select from a partial scan.
-    if (round_cancel != nullptr && run.ShouldStop()) break;
-    run.parallel_batches->Increment();
-    run.parallel_items->Increment(n);
-    if (best == n || best_gain == kNegInf) break;
-    run.Select(static_cast<NodeId>(best));
+  void DrainCounters(EvaluatorCounters* into) override {
+    into->MergeFrom(&counters_);
   }
-  return FinishSolution(std::move(run), options.variant, "greedy-parallel",
-                        timer.ElapsedSeconds());
-}
 
-namespace {
-
-// The CELF heap machinery — entries, comparator, the threshold-seeded
-// heap (exactness argument: see the comment blocks there) and its two
-// builders — lives in core/candidate_evaluator.{h,cc} since the solver
-// loop was refactored behind CandidateEvaluator: the distributed shard
-// engine seeds with the exact same code. These aliases keep the batched
-// lazy-parallel execution below reading as before.
-using HeapEntry = CelfHeapEntry;
-using Worse = CelfWorse;
-using LazyHeap = CelfHeap;
-using SeededHeap = CelfSeededHeap;
-
-constexpr size_t kDefaultSeedHeapCapacity = 1024;
-
-size_t EffectiveSeedCapacity(const GreedyOptions& options, size_t n) {
-  const size_t cap = options.seed_heap_capacity > 0
-                         ? options.seed_heap_capacity
-                         : kDefaultSeedHeapCapacity;
-  return std::min(cap, n);
-}
-
-}  // namespace
-
-namespace {
-
-// Folds an evaluator's drained tallies into the run's pending counters
-// (flushed by the next Select / FinishSolution, preserving the per-round
-// trace deltas the serial executions always emitted). seed_refills has
-// no pending slot — it was always incremented directly.
-void ApplyEvaluatorTally(EvaluatorCounters* tally, GreedyRun* run) {
-  run->pending_gain_evals += tally->gain_evaluations;
-  run->pending_heap_pops += tally->heap_pops;
-  run->pending_stale_refreshes += tally->stale_refreshes;
-  if (tally->seed_refills > 0) {
-    run->seed_refills->Increment(tally->seed_refills);
+  Status Finish(SolverStats* stats) override {
+    if (pool_ != nullptr) stats->threads = pool_->num_threads();
+    return Status::OK();
   }
-  *tally = EvaluatorCounters();
+
+ private:
+  struct Chunk {
+    CandidateProposal best;
+    uint64_t candidates = 0;
+  };
+
+  Chunk ScanChunk(size_t lo, size_t hi) const {
+    const std::span<double> gains(gains_.get(), n_);
+    state_->GainsInto(lo, hi, gains);
+    Chunk chunk;
+    double best_gain = -1.0;
+    ForEachCandidateInRange(state_->retained(), *excluded_, lo, hi,
+                            [&](NodeId v) {
+                              ++chunk.candidates;
+                              // Strict: ties keep the smaller id.
+                              if (gains[v] > best_gain) {
+                                best_gain = gains[v];
+                                chunk.best = {true, best_gain, v};
+                              }
+                            });
+    return chunk;
+  }
+
+  const CoverState* state_;
+  const Bitset* excluded_;
+  ThreadPool* pool_;
+  size_t n_;
+  std::unique_ptr<double[]> gains_;
+  std::vector<Chunk> chunks_;
+  EvaluatorCounters counters_;
+};
+
+// The lazy executions: one CelfShardEngine per contiguous shard — one
+// shard without a pool (SolveGreedyLazy), one per pool thread otherwise
+// (SolveGreedyLazyParallel). Each round proposes every shard's exact
+// argmax in one pool dispatch and merges them with BetterProposal, the
+// same merge the distributed coordinator runs over worker processes.
+class CelfEvaluator final : public CandidateEvaluator {
+ public:
+  CelfEvaluator(const EvaluatorContext& context, ThreadPool* pool)
+      : pool_(pool) {
+    const size_t n = context.graph->NumNodes();
+    const size_t shards = pool == nullptr ? 1 : pool->num_threads();
+    CelfShardEngine::Config config;
+    config.seed_heap_capacity =
+        ShardSeedCapacity(context.options->seed_heap_capacity, shards);
+    engines_.reserve(shards);
+    for (size_t j = 0; j < shards; ++j) {
+      config.shard_begin = n * j / shards;
+      config.shard_end = n * (j + 1) / shards;
+      engines_.emplace_back(context.state, context.excluded, config);
+    }
+    proposals_.resize(shards);
+  }
+
+  Result<CandidateProposal> BestCandidate() override {
+    if (engines_.size() == 1) return engines_[0].Propose();
+    ParallelFor(pool_, 0, engines_.size(),
+                [this](size_t j) { proposals_[j] = engines_[j].Propose(); });
+    ++counters_.parallel_batches;
+    counters_.parallel_items += engines_.size();
+    CandidateProposal best;
+    for (const CandidateProposal& proposal : proposals_) {
+      if (BetterProposal(proposal, best)) best = proposal;
+    }
+    return best;
+  }
+
+  Status CommitWinner(NodeId v) override {
+    for (CelfShardEngine& engine : engines_) engine.OnCommitted(v);
+    return Status::OK();
+  }
+
+  void DrainCounters(EvaluatorCounters* into) override {
+    into->MergeFrom(&counters_);
+    for (CelfShardEngine& engine : engines_) engine.DrainCounters(into);
+  }
+
+  Status Finish(SolverStats* stats) override {
+    if (pool_ != nullptr) stats->threads = pool_->num_threads();
+    return Status::OK();
+  }
+
+ private:
+  ThreadPool* pool_;
+  std::vector<CelfShardEngine> engines_;
+  std::vector<CandidateProposal> proposals_;
+  EvaluatorCounters counters_;
+};
+
+template <typename Evaluator>
+CandidateEvaluatorFactory InProcess(ThreadPool* pool) {
+  return [pool](const EvaluatorContext& context)
+             -> Result<std::unique_ptr<CandidateEvaluator>> {
+    return std::unique_ptr<CandidateEvaluator>(
+        std::make_unique<Evaluator>(context, pool));
+  };
 }
 
 }  // namespace
@@ -453,221 +448,66 @@ Result<Solution> SolveGreedyWithEvaluator(
   context.graph = &graph;
   context.state = &run.state;
   context.excluded = &run.excluded;
-  context.num_excluded = run.num_excluded;
   context.committed = &run.items;
   context.k = k;
   context.options = &options;
   PREFCOVER_ASSIGN_OR_RETURN(std::unique_ptr<CandidateEvaluator> evaluator,
                              factory(context));
 
-  EvaluatorCounters tally;
+  const auto drain_counters = [&evaluator, &run] {
+    EvaluatorCounters tally;
+    evaluator->DrainCounters(&tally);
+    run.Tally(tally);
+  };
   run.iteration_timer.Reset();
   while (run.items.size() < k) {
+    // The round boundary is the only cancellation point: a round either
+    // completes its exact argmax or never starts.
     if (run.ShouldStop()) break;
     if (run.state.cover() >= options.stop_at_cover) break;
     PREFCOVER_ASSIGN_OR_RETURN(CandidateProposal best,
                                evaluator->BestCandidate());
-    // Drained before Select so the round's work lands in this round's
-    // flush (and trace deltas), exactly as the inline loop tallied.
-    evaluator->DrainCounters(&tally);
-    ApplyEvaluatorTally(&tally, &run);
+    drain_counters();
     if (!best.found) break;  // every candidate retained or excluded
     run.Select(best.node);
     PREFCOVER_RETURN_NOT_OK(evaluator->CommitWinner(best.node));
   }
   // Work done while discovering exhaustion (or after the last commit)
   // still belongs to the run's totals.
-  evaluator->DrainCounters(&tally);
-  ApplyEvaluatorTally(&tally, &run);
+  drain_counters();
   PREFCOVER_RETURN_NOT_OK(evaluator->Finish(&run.stats));
   return FinishSolution(std::move(run), options.variant, algorithm,
                         timer.ElapsedSeconds());
 }
 
+Result<Solution> SolveGreedy(const PreferenceGraph& graph, size_t k,
+                             const GreedyOptions& options) {
+  return SolveGreedyWithEvaluator(graph, k, options,
+                                  InProcess<ScanEvaluator>(nullptr),
+                                  "greedy");
+}
+
+Result<Solution> SolveGreedyParallel(const PreferenceGraph& graph, size_t k,
+                                     ThreadPool* pool,
+                                     const GreedyOptions& options) {
+  return SolveGreedyWithEvaluator(graph, k, options,
+                                  InProcess<ScanEvaluator>(pool),
+                                  "greedy-parallel");
+}
+
 Result<Solution> SolveGreedyLazy(const PreferenceGraph& graph, size_t k,
                                  const GreedyOptions& options) {
-  // The generic driver over the in-process CELF evaluator: the same
-  // threshold-seeded lazy loop this function always ran, now shared
-  // line-for-line with the distributed shard engine
-  // (core/candidate_evaluator.cc).
-  return SolveGreedyWithEvaluator(
-      graph, k, options,
-      [](const EvaluatorContext& context)
-          -> Result<std::unique_ptr<CandidateEvaluator>> {
-        return std::unique_ptr<CandidateEvaluator>(
-            std::make_unique<LazyCandidateEvaluator>(context));
-      },
-      "greedy-lazy");
+  return SolveGreedyWithEvaluator(graph, k, options,
+                                  InProcess<CelfEvaluator>(nullptr),
+                                  "greedy-lazy");
 }
 
 Result<Solution> SolveGreedyLazyParallel(const PreferenceGraph& graph,
                                          size_t k, ThreadPool* pool,
                                          const GreedyOptions& options) {
-  PREFCOVER_RETURN_NOT_OK(ValidateInstance(graph, k, options.variant));
-  Stopwatch timer;
-  obs::Span solve_span("solver.solve", "solver");
-  solve_span.Arg("algorithm", "greedy-lazy-parallel");
-  solve_span.Arg("k", static_cast<uint64_t>(k));
-  const size_t n = graph.NumNodes();
-  GreedyRun run(&graph, options.variant);
-  PREFCOVER_RETURN_NOT_OK(InitGreedyRun(graph, k, options, &run));
-  solve_span.Arg("simd", SimdLevelName(run.state.simd_level()).data());
-
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  const size_t batch_size =
-      options.batch_size > 0 ? options.batch_size
-                             : std::max<size_t>(size_t{1}, 4 * threads);
-  run.stats.threads = threads;
-  run.stats.batch_size = batch_size;
-
-  const size_t seed_cap = EffectiveSeedCapacity(options, n);
-  // Kernel tiers: bound-ordered early-exit seed, serial — it touches so
-  // few nodes that a pool dispatch costs more than it saves. Scalar
-  // tier: full batch gain sweep as disjoint chunks on the pool. Gains
-  // are independent of each other (GainOf is const), so chunk
-  // boundaries cannot affect the values, and both builders keep the
-  // exact same top seed_cap — the result, and every downstream refill
-  // decision, is identical for every tier and thread count.
-  const bool bounded_seed = run.state.simd_level() != SimdLevel::kScalar;
-  std::unique_ptr<double[]> gains_buf;
-  std::span<double> gains;
-  if (!bounded_seed) {
-    // Uninitialized on purpose — every sweep overwrites [0, n) first.
-    gains_buf = std::make_unique_for_overwrite<double[]>(n);
-    gains = std::span<double>(gains_buf.get(), n);
-  }
-  SeededHeap seeded;
-  const auto reseed = [&](uint32_t seed_round) {
-    obs::Span seed_span("solver.init_heap", "solver");
-    seed_span.Arg("n", static_cast<uint64_t>(n));
-    if (bounded_seed) {
-      seeded = BuildCelfSeedBounded(
-          run.state, run.excluded, 0, n, seed_cap, seed_round,
-          n - run.state.NumRetained() - run.num_excluded,
-          &run.pending_gain_evals);
-      return;
-    }
-    constexpr size_t kSeedChunk = 4096;
-    const size_t num_chunks = (n + kSeedChunk - 1) / kSeedChunk;
-    ParallelFor(pool, 0, num_chunks, [&run, &gains, n](size_t c) {
-      const size_t chunk_begin = c * kSeedChunk;
-      run.state.GainsInto(chunk_begin,
-                          std::min(n, chunk_begin + kSeedChunk), gains);
-    });
-    run.parallel_batches->Increment();
-    run.parallel_items->Increment(n);
-    seeded = BuildCelfSeed(run.state, run.excluded, 0, n, gains, seed_cap,
-                           seed_round, &run.pending_gain_evals);
-  };
-  reseed(0);
-  LazyHeap& heap = seeded.heap;
-
-  std::vector<size_t> batch;
-  std::vector<double> batch_gains;
-  // The heap never holds more than n entries, so an oversized (or
-  // size_t-max) batch_size must not translate into an oversized reserve.
-  batch.reserve(std::min(batch_size, n));
-  uint32_t round = 0;
-  run.iteration_timer.Reset();
-  while (run.items.size() < k) {
-    if (run.ShouldStop()) break;
-    if (run.state.cover() >= options.stop_at_cover) break;
-    if (heap.empty()) {
-      if (!seeded.truncated) break;
-      // The kept pool drained; pull the cut candidates back in.
-      run.seed_refills->Increment();
-      reseed(round);
-      continue;
-    }
-    HeapEntry top = heap.top();
-    if (run.state.IsRetained(top.node)) {
-      heap.pop();
-      ++run.pending_heap_pops;
-      continue;
-    }
-    if (top.round == round) {
-      if (seeded.truncated && Worse()(top, seeded.theta)) {
-        // The fresh front fell below the seed cut: a cut candidate may
-        // now be the true argmax. Rebuild from a fresh full sweep.
-        run.seed_refills->Increment();
-        reseed(round);
-        continue;
-      }
-      // A fresh top dominates every other entry's stored gain, and stored
-      // gains upper-bound true gains (submodularity), so this is exactly
-      // the plain-greedy argmax; the heap comparator already broke gain
-      // ties toward the smaller id.
-      heap.pop();
-      ++run.pending_heap_pops;
-      run.Select(top.node);
-      ++round;
-      continue;
-    }
-
-    // Batched CELF: pop up to B stale candidates and refresh their gains
-    // concurrently. Stop early if a fresh entry surfaces — it may already
-    // be the winner, no need to refresh anything beneath it.
-    batch.clear();
-    while (batch.size() < batch_size && !heap.empty()) {
-      HeapEntry e = heap.top();
-      if (run.state.IsRetained(e.node)) {
-        heap.pop();
-        ++run.pending_heap_pops;
-        continue;
-      }
-      if (e.round == round) break;
-      heap.pop();
-      ++run.pending_heap_pops;
-      batch.push_back(e.node);
-    }
-
-    // As in the parallel execution, only forward the token when a
-    // truncation break is permissible; a cancelled refresh produces
-    // partial gains that must be discarded, never reinserted.
-    const CancelToken* round_cancel =
-        run.items.empty() ? nullptr : options.cancel;
-    double best_gain = kNegInf;
-    size_t best_pos = ParallelArgMaxBatch(
-        pool, batch,
-        [&run](size_t v) {
-          return run.state.GainOf(static_cast<NodeId>(v));
-        },
-        &batch_gains, &best_gain, round_cancel);
-    if (round_cancel != nullptr && run.ShouldStop()) break;
-    run.parallel_batches->Increment();
-    run.parallel_items->Increment(batch.size());
-    run.pending_gain_evals += batch.size();
-    run.pending_stale_refreshes += batch.size();
-
-    // Fast path: if the best refreshed gain strictly beats the top stored
-    // gain left in the heap, it beats every remaining true gain (true <=
-    // stored), and ParallelArgMaxBatch already resolved in-batch ties
-    // toward the smaller id — so it is exactly the plain-greedy argmax.
-    // On equality we cannot decide here (a remaining entry might refresh
-    // to the same gain with a smaller id), so everything is reinserted
-    // fresh and the next loop iteration selects via the heap comparator.
-    // Under a truncated seed the winner must additionally clear the seed
-    // cut — below theta a cut candidate could be the true argmax, so
-    // everything is reinserted fresh and the next iteration's fresh-top
-    // check routes into the reseed path.
-    const bool select_now =
-        best_pos != batch.size() &&
-        (heap.empty() || best_gain > heap.top().gain) &&
-        (!seeded.truncated ||
-         !Worse()(HeapEntry{best_gain, static_cast<NodeId>(batch[best_pos]),
-                            round},
-                  seeded.theta));
-    for (size_t j = 0; j < batch.size(); ++j) {
-      if (select_now && j == best_pos) continue;
-      heap.push({batch_gains[j], static_cast<NodeId>(batch[j]), round});
-    }
-    if (select_now) {
-      run.Select(static_cast<NodeId>(batch[best_pos]));
-      ++round;
-    }
-  }
-  return FinishSolution(std::move(run), options.variant,
-                        "greedy-lazy-parallel", timer.ElapsedSeconds());
+  return SolveGreedyWithEvaluator(graph, k, options,
+                                  InProcess<CelfEvaluator>(pool),
+                                  "greedy-lazy-parallel");
 }
 
 double GreedyApproximationGuarantee(Variant variant, size_t k, size_t n) {

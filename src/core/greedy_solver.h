@@ -1,26 +1,29 @@
-// The paper's greedy scheme (Algorithm 1) in four executions that produce
-// identical solutions:
+// The paper's greedy scheme (Algorithm 1) as one round loop,
+// SolveGreedyWithEvaluator, over interchangeable evaluators that only
+// change how each round's argmax is computed (core/candidate_evaluator.h):
 //
-//   - plain:         the literal O(nkD) loop — each of the k iterations
-//                    scans every unretained candidate's Gain;
-//   - parallel:      the paper's parallelization — the per-iteration
-//                    candidate scan fans out over a thread pool,
-//                    O(k + nkD/N) for N threads;
-//   - lazy:          CELF-style stale-gain pruning. Both variants' cover
-//                    functions are monotone submodular, so a candidate's
-//                    gain only decreases as S grows; re-evaluating the heap
-//                    top until it is fresh selects exactly the plain-greedy
-//                    argmax (ties break to the smaller id in every
-//                    execution);
-//   - lazy-parallel: batched CELF — pops the top-B stale candidates,
-//                    re-evaluates their gains concurrently on the pool, and
-//                    reinserts until the top is fresh. Combines the lazy
-//                    execution's pruning with the parallel execution's
-//                    throughput while still selecting the identical node
-//                    sequence (see docs/ALGORITHMS.md for the argument).
+//   - plain:         the scan evaluator without a pool — the literal
+//                    O(nkD) loop: each of the k rounds computes every
+//                    unretained candidate's Gain;
+//   - parallel:      the scan evaluator on a pool — the paper's
+//                    parallelization: the per-round scan fans out over N
+//                    threads in contiguous chunks, O(k + nkD/N);
+//   - lazy:          the CELF evaluator with one CelfShardEngine. Both
+//                    variants' cover functions are monotone submodular,
+//                    so a candidate's gain only decreases as S grows;
+//                    re-evaluating the heap top until it is fresh selects
+//                    exactly the plain-greedy argmax;
+//   - lazy-parallel: the CELF evaluator with one engine per pool thread,
+//                    each over a contiguous shard. The max of per-shard
+//                    exact argmaxes is the global argmax (see
+//                    docs/ALGORITHMS.md).
 //
-// Every execution fills `Solution::stats` (SolverStats) so pruning
-// effectiveness and parallel utilization are measurable.
+// Ties break to the smaller id in every execution, so all four produce
+// byte-identical solutions; so do the constrained solver
+// (core/constrained_solver.h) at unit costs and the distributed solve
+// (src/dist/), which run the same driver. Every execution fills
+// `Solution::stats` (SolverStats) so pruning effectiveness and parallel
+// utilization are measurable.
 //
 // Approximation guarantees (paper Theorems 3.1 / 4.1 and Table 1):
 //   Independent: (1 - 1/e), tight unless P = NP.
@@ -93,22 +96,18 @@ struct GreedyOptions {
   /// Must be distinct and within range.
   std::vector<NodeId> force_exclude;
 
-  /// Batch size B for SolveGreedyLazyParallel: how many stale heap entries
-  /// are re-evaluated per parallel dispatch. 0 = auto (4x the pool width).
-  /// The selected node sequence is identical for every value.
-  size_t batch_size = 0;
-
   /// Heap seed capacity T for the lazy executions: the seed keeps only
   /// the top-T candidates by (gain, id) and pulls the cut-off rest back
   /// in through exact threshold refills when the selection front drops
   /// below the cut (counted in `SolverStats::seed_refills`). 0 = default
-  /// (1024). The selected node sequence is identical for every value —
-  /// this is purely a performance knob; see greedy_solver.cc for the
+  /// (1024); N shards keep ceil(T / N) each (ShardSeedCapacity). The
+  /// selected node sequence is identical for every value — this is
+  /// purely a performance knob; see core/candidate_evaluator.h for the
   /// exactness argument.
   size_t seed_heap_capacity = 0;
 
   /// Cooperative cancellation (explicit Cancel() or a deadline). Checked
-  /// at round boundaries: a tripped token stops the search and returns
+  /// at round boundaries only: a tripped token stops the search and returns
   /// the best greedy prefix selected so far — never an error, never an
   /// empty solution when at least one selection was possible — with
   /// `Solution::stats.truncated` set and the `solver.cancelled` counter
@@ -121,9 +120,9 @@ struct GreedyOptions {
 
 /// \brief Validates a GreedyOptions instance against the problem size: NaN
 /// stop_at_cover, duplicate or out-of-range force_include/force_exclude,
-/// overlap between the two lists, force_include larger than k. Every
-/// greedy entry point applies exactly this check, so all four executions
-/// accept and reject the same inputs with the same errors.
+/// overlap between the two lists, force_include larger than k. The
+/// driver applies exactly this check, so every execution accepts and
+/// rejects the same inputs with the same errors.
 Status ValidateGreedyOptions(const PreferenceGraph& graph, size_t k,
                              const GreedyOptions& options);
 
@@ -131,9 +130,9 @@ Status ValidateGreedyOptions(const PreferenceGraph& graph, size_t k,
 Result<Solution> SolveGreedy(const PreferenceGraph& graph, size_t k,
                              const GreedyOptions& options = GreedyOptions());
 
-/// \brief Parallel greedy: candidate gains are evaluated on `pool`
-/// (nullptr degrades to the plain loop). Produces the same solution as
-/// SolveGreedy for any thread count.
+/// \brief Parallel greedy: each round's candidate scan is split into one
+/// contiguous chunk per `pool` thread (nullptr degrades to the plain
+/// loop). Produces the same solution as SolveGreedy for any thread count.
 Result<Solution> SolveGreedyParallel(
     const PreferenceGraph& graph, size_t k, ThreadPool* pool,
     const GreedyOptions& options = GreedyOptions());
@@ -152,26 +151,27 @@ using CandidateEvaluatorFactory =
     std::function<Result<std::unique_ptr<CandidateEvaluator>>(
         const EvaluatorContext&)>;
 
-/// \brief The generic greedy driver (Algorithm 1's round loop) over a
+/// \brief The greedy driver (Algorithm 1's round loop) over a
 /// CandidateEvaluator: per round — cancellation / stop_at_cover checks,
 /// one BestCandidate() argmax, AddNode on the shared state, one
-/// CommitWinner() — with the usual prefix seeding, checkpoint cadence,
-/// telemetry and Solution assembly shared with the other executions.
+/// CommitWinner() — with prefix seeding, checkpoint cadence, telemetry
+/// and Solution assembly.
 ///
-/// SolveGreedyLazy is exactly this driver over LazyCandidateEvaluator;
-/// SolveGreedyDistributed (src/dist/) is this driver over the
-/// coordinator-side evaluator. Any evaluator whose BestCandidate returns
-/// the exact (gain, id)-argmax yields the canonical greedy solution,
-/// byte-identical across executions.
+/// Every execution is this driver: the four above over the in-process
+/// scan and CELF evaluators, SolveConstrainedCover over a cost-keyed
+/// engine, SolveGreedyDistributed (src/dist/) over the coordinator-side
+/// evaluator. Any evaluator whose BestCandidate returns the exact
+/// (gain, id)-argmax yields the canonical greedy solution, byte-identical
+/// across executions.
 Result<Solution> SolveGreedyWithEvaluator(
     const PreferenceGraph& graph, size_t k, const GreedyOptions& options,
     const CandidateEvaluatorFactory& factory, const char* algorithm);
 
-/// \brief Batched-CELF greedy: lazy pruning with the stale re-evaluations
-/// fanned out over `pool` (nullptr degrades to a serial batched loop).
-/// Produces the same solution as SolveGreedy for any thread count and any
-/// batch size, including under force_include/force_exclude and
-/// stop_at_cover.
+/// \brief Sharded lazy greedy: one CELF engine per `pool` thread, each
+/// over a contiguous candidate shard, proposing in one pool dispatch per
+/// round (nullptr degrades to SolveGreedyLazy's single engine). Produces
+/// the same solution as SolveGreedy for any thread count, including
+/// under force_include/force_exclude and stop_at_cover.
 Result<Solution> SolveGreedyLazyParallel(
     const PreferenceGraph& graph, size_t k, ThreadPool* pool,
     const GreedyOptions& options = GreedyOptions());

@@ -39,14 +39,14 @@ std::string SolverStats::ToString() const {
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
                 "iters=%llu gains=%llu pops=%llu stale=%.1f%% "
-                "avg-iter=%s max-iter=%s threads=%zu batch=%zu util=%.0f%%",
+                "avg-iter=%s max-iter=%s threads=%zu util=%.0f%%",
                 static_cast<unsigned long long>(iterations),
                 static_cast<unsigned long long>(gain_evaluations),
                 static_cast<unsigned long long>(heap_pops),
                 StaleRatio() * 100.0,
                 FormatDuration(AvgIterationSeconds()).c_str(),
                 FormatDuration(max_iteration_seconds).c_str(), threads,
-                batch_size, PoolUtilization() * 100.0);
+                PoolUtilization() * 100.0);
   std::string out = buffer;
   if (truncated) out += " TRUNCATED";
   return out;

@@ -3,10 +3,8 @@
 // *view* over that registry (plus the timing fields, which are plain
 // doubles measured by the run's stopwatch).
 //
-// The registry counters are sharded per thread, so the parallel
-// executions' workers bump them without a shared atomic; the serial hot
-// loops batch their tallies and flush once per selection round. At the
-// end of a run the totals are also merged into
+// Evaluators accumulate plain integer tallies that the driver folds
+// into the registry once per selection round. At the end of a run the totals are also merged into
 // obs::MetricsRegistry::Global() under the same names, so a process-wide
 // metrics snapshot (CLI --metrics_out, bench harness) accumulates
 // solver work across runs.
@@ -44,9 +42,8 @@ inline constexpr char kCancelled[] = "solver.cancelled";
 ///     the iteration timings;
 ///   - the lazy executions additionally fill `heap_pops` /
 ///     `stale_refreshes`;
-///   - the parallel executions additionally fill `threads`,
-///     `parallel_batches` and `parallel_items` (and, for lazy-parallel,
-///     `batch_size`).
+///   - the pooled executions additionally fill `threads`,
+///     `parallel_batches` and `parallel_items`.
 struct SolverStats {
   /// Greedy selection rounds performed by the search loop (force_include
   /// seeding is not counted — it performs no candidate search).
@@ -69,17 +66,14 @@ struct SolverStats {
   /// the seed.
   uint64_t seed_refills = 0;
 
-  /// Parallel dispatches (one per `ParallelArgMax` / batched call) and the
-  /// total work items they carried.
+  /// Pool dispatches (one per round of a pooled execution) and the total
+  /// work items they carried (candidates scanned, or shards proposed).
   uint64_t parallel_batches = 0;
   uint64_t parallel_items = 0;
 
   /// Worker count of the pool the run used (1 for serial executions or a
   /// null pool).
   size_t threads = 1;
-
-  /// Effective CELF batch size B (lazy-parallel only; 1 otherwise).
-  size_t batch_size = 1;
 
   /// Wall time spent inside search iterations, in total and for the single
   /// slowest iteration.
@@ -93,7 +87,7 @@ struct SolverStats {
   bool truncated = false;
 
   /// \brief Fills the counter fields from a run-scoped registry snapshot
-  /// (the `solver_metric` names); timing/threads/batch fields are left
+  /// (the `solver_metric` names); timing/threads fields are left
   /// untouched. This is how the greedy executions build their stats.
   void LoadCounters(const obs::MetricsSnapshot& snapshot);
 

@@ -109,12 +109,9 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
           WorkerHandle& worker = workers_[idx];
           EvaluatorCounters tally = worker.cached_tally;
           round_tally.MergeFrom(&tally);
-          const CandidateProposal& proposal = *worker.cached_proposal;
           m_proposals_->Increment();
-          if (proposal.found &&
-              (!best.found || proposal.gain > best.gain ||
-               (proposal.gain == best.gain && proposal.node < best.node))) {
-            best = proposal;
+          if (BetterProposal(*worker.cached_proposal, best)) {
+            best = *worker.cached_proposal;
           }
           continue;
         }
@@ -138,11 +135,7 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
           continue;
         }
         m_proposals_->Increment();
-        if (proposal->found &&
-            (!best.found || proposal->gain > best.gain ||
-             (proposal->gain == best.gain && proposal->node < best.node))) {
-          best = *proposal;
-        }
+        if (BetterProposal(*proposal, best)) best = *proposal;
       }
       if (!round_ok) {
         PREFCOVER_RETURN_NOT_OK(Rebalance());
@@ -301,19 +294,17 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
   }
 
   /// Contiguous equal partition of [0, n) over the listed workers (in
-  /// their index order). Workers beyond the candidate count get the empty
-  /// shard [n, n) — never [0, 0), which CelfShardEngine reads as "the
-  /// full range".
+  /// their index order; workers beyond the candidate count get an empty
+  /// shard), each seeded with the per-shard capacity the in-process
+  /// sharded solve uses.
   void AssignShards(const std::vector<size_t>& alive) {
     const size_t n = context_.graph->NumNodes();
     const size_t m = alive.size();
     for (size_t j = 0; j < m; ++j) {
-      size_t begin = n * j / m;
-      size_t end = n * (j + 1) / m;
-      if (begin == end) begin = end = n;
-      workers_[alive[j]].shard_begin = begin;
-      workers_[alive[j]].shard_end = end;
+      workers_[alive[j]].shard_begin = n * j / m;
+      workers_[alive[j]].shard_end = n * (j + 1) / m;
     }
+    seed_cap_ = ShardSeedCapacity(context_.options->seed_heap_capacity, m);
   }
 
   Status InitWorker(WorkerHandle* worker) {
@@ -322,8 +313,7 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
         std::to_string(worker->shard_end) +
         " variant=" + std::string(VariantName(context_.options->variant)) +
         " k=" + std::to_string(context_.k) + " simd=" + simd_name_ +
-        " seed_cap=" +
-        std::to_string(context_.options->seed_heap_capacity) +
+        " seed_cap=" + std::to_string(seed_cap_) +
         " digest=" + std::to_string(digest_) +
         " opts=" + std::to_string(opts_hash_) +
         " exclude=" + exclude_csv_ +
@@ -470,6 +460,7 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
   const std::string exclude_csv_;
   std::string simd_name_;
   std::vector<WorkerHandle> workers_;
+  size_t seed_cap_ = 0;  // per-shard seed capacity of the current partition
   EvaluatorCounters tally_;
   std::string last_error_ = "no failures recorded";
 

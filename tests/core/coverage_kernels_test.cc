@@ -271,7 +271,6 @@ LevelSolutions SolveAllExecutions(const PreferenceGraph& g, size_t k,
   auto lazy = SolveGreedyLazy(g, k, options);
   auto parallel = SolveGreedyParallel(g, k, pool, options);
   GreedyOptions batched = options;
-  batched.batch_size = 16;
   auto lazy_parallel = SolveGreedyLazyParallel(g, k, pool, batched);
   EXPECT_TRUE(plain.ok() && lazy.ok() && parallel.ok() &&
               lazy_parallel.ok())

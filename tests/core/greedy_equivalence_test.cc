@@ -3,10 +3,11 @@
 // The contract under test: SolveGreedy, SolveGreedyParallel,
 // SolveGreedyLazy and SolveGreedyLazyParallel select byte-identical
 // retained sequences and covers on every instance — for any thread count
-// and any CELF batch size, with and without force_include /
-// force_exclude / stop_at_cover. ~50 seeded random graphs (Zipf node
-// weights, both variants, varying k/n) are swept against thread counts
-// {1, 2, 8} and batch sizes {1, 4, 64}.
+// (which is also the lazy-parallel shard count), with and without
+// force_include / force_exclude / stop_at_cover. ~50 seeded random graphs
+// (Zipf node weights, both variants, varying k/n) plus one instance with
+// fewer live candidates than the widest pool are swept against thread
+// counts {1, 2, 8}.
 
 #include <algorithm>
 #include <string>
@@ -24,7 +25,6 @@ namespace {
 
 constexpr size_t kNumSeeds = 50;
 constexpr size_t kThreadCounts[] = {1, 2, 8};
-constexpr size_t kBatchSizes[] = {1, 4, 64};
 
 struct DiffInstance {
   PreferenceGraph graph;
@@ -76,6 +76,20 @@ DiffInstance MakeInstance(uint64_t seed) {
   return instance;
 }
 
+// Fewer live candidates (6) than the widest pool (8): the sharded lazy
+// solve then has empty shards, the first of them [0, 0).
+DiffInstance MakeFewCandidatesInstance() {
+  Rng rng(4242);
+  UniformGraphParams params;
+  params.num_nodes = 7;
+  params.out_degree = 3;
+  auto g = GenerateUniformGraph(params, &rng);
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  DiffInstance instance{std::move(g).value(), 5, {}, "few-candidates n=7 k=5"};
+  instance.options.force_exclude = {3};
+  return instance;
+}
+
 void ExpectIdentical(const Solution& reference, const Solution& other,
                      const std::string& label) {
   // Byte-identical sequences: same items in the same order, and the same
@@ -95,8 +109,9 @@ TEST(GreedyDifferentialTest, AllExecutionsAgreeOnSeededRandomGraphs) {
   ThreadPool pool1(1), pool2(2), pool8(8);
   ThreadPool* pools[] = {&pool1, &pool2, &pool8};
 
-  for (uint64_t seed = 0; seed < kNumSeeds; ++seed) {
-    DiffInstance instance = MakeInstance(seed);
+  for (uint64_t seed = 0; seed <= kNumSeeds; ++seed) {
+    DiffInstance instance =
+        seed < kNumSeeds ? MakeInstance(seed) : MakeFewCandidatesInstance();
     const std::string& label = instance.label;
 
     auto plain = SolveGreedy(instance.graph, instance.k, instance.options);
@@ -118,19 +133,13 @@ TEST(GreedyDifferentialTest, AllExecutionsAgreeOnSeededRandomGraphs) {
                       label + " threads=" +
                           std::to_string(kThreadCounts[t]));
 
-      for (size_t batch : kBatchSizes) {
-        GreedyOptions options = instance.options;
-        options.batch_size = batch;
-        auto lazy_parallel = SolveGreedyLazyParallel(
-            instance.graph, instance.k, pool, options);
-        ASSERT_TRUE(lazy_parallel.ok())
-            << label << " threads=" << kThreadCounts[t]
-            << " batch=" << batch;
-        ExpectIdentical(*plain, *lazy_parallel,
-                        label + " threads=" +
-                            std::to_string(kThreadCounts[t]) +
-                            " batch=" + std::to_string(batch));
-      }
+      auto lazy_parallel = SolveGreedyLazyParallel(
+          instance.graph, instance.k, pool, instance.options);
+      ASSERT_TRUE(lazy_parallel.ok())
+          << label << " threads=" << kThreadCounts[t];
+      ExpectIdentical(*plain, *lazy_parallel,
+                      label + " threads=" +
+                          std::to_string(kThreadCounts[t]));
     }
 
     // Constraint semantics hold on every instance that carries them.
@@ -153,20 +162,6 @@ TEST(GreedyDifferentialTest, LazyParallelWithNullPoolMatchesPlain) {
                                                nullptr, instance.options);
   ASSERT_TRUE(plain.ok() && lazy_parallel.ok());
   ExpectIdentical(*plain, *lazy_parallel, instance.label + " null-pool");
-}
-
-TEST(GreedyDifferentialTest, OversizedBatchMatchesPlain) {
-  // A batch larger than the candidate pool refreshes everything at once —
-  // degenerate but must still select the identical sequence.
-  DiffInstance instance = MakeInstance(7);
-  GreedyOptions options = instance.options;
-  options.batch_size = 100000;
-  ThreadPool pool(4);
-  auto plain = SolveGreedy(instance.graph, instance.k, instance.options);
-  auto lazy_parallel = SolveGreedyLazyParallel(instance.graph, instance.k,
-                                               &pool, options);
-  ASSERT_TRUE(plain.ok() && lazy_parallel.ok());
-  ExpectIdentical(*plain, *lazy_parallel, instance.label + " huge-batch");
 }
 
 TEST(GreedyDifferentialTest, ThresholdSeedCapacitySweepMatchesPlain) {
@@ -192,7 +187,6 @@ TEST(GreedyDifferentialTest, ThresholdSeedCapacitySweepMatchesPlain) {
       ASSERT_TRUE(lazy.ok()) << label;
       ExpectIdentical(*plain, *lazy, label);
 
-      options.batch_size = 4;
       auto lazy_parallel = SolveGreedyLazyParallel(instance.graph,
                                                    instance.k, &pool,
                                                    options);
@@ -227,7 +221,6 @@ TEST(GreedyDifferentialTest, SolverStatsArePopulatedAndConsistent) {
   DiffInstance instance = MakeInstance(4);  // a constrained instance
   ThreadPool pool(2);
   GreedyOptions options = instance.options;
-  options.batch_size = 4;
 
   auto plain = SolveGreedy(instance.graph, instance.k, options);
   auto parallel =
@@ -263,7 +256,6 @@ TEST(GreedyDifferentialTest, SolverStatsArePopulatedAndConsistent) {
   EXPECT_GT(lazy_parallel->stats.heap_pops, 0u);
   EXPECT_GE(lazy->stats.StaleRatio(), 0.0);
   EXPECT_LE(lazy->stats.StaleRatio(), 1.0);
-  EXPECT_EQ(lazy_parallel->stats.batch_size, 4u);
   EXPECT_EQ(lazy_parallel->stats.threads, 2u);
   EXPECT_GT(lazy_parallel->stats.parallel_batches, 0u);
   EXPECT_GT(lazy_parallel->stats.PoolUtilization(), 0.0);

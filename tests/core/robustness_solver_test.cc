@@ -299,7 +299,6 @@ TEST(CheckpointResumeTest, ResumeAcrossExecutionsIsLegal) {
   auto ckpt = ReadCheckpoint(path);
   ASSERT_TRUE(ckpt.ok());
   GreedyOptions plain_options;
-  plain_options.batch_size = 7;  // execution knobs may change freely
   auto prefix =
       ValidateCheckpointForResume(*ckpt, graph, k, plain_options);
   ASSERT_TRUE(prefix.ok()) << prefix.status().ToString();

@@ -6,7 +6,9 @@
 // the net.* failpoints inside the workers so read/write faults hit the
 // wire for real — the ResilientClient retry path plus the exactly-once
 // commit must absorb them without changing a byte. The solve fails
-// (promptly, not by hanging) only when every worker is gone.
+// (promptly, not by hanging) only when every worker is gone. Last, the
+// CLI's `solve --workers` against two real workers writes the same files
+// as `solve --algorithm=lazy`, under force lists, deadlines and resume.
 
 #if !defined(__unix__) && !defined(__APPLE__)
 // POSIX-only, like the transport under test.
@@ -16,7 +18,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -283,6 +289,134 @@ TEST_F(DistChaosTest, SoleWorkerKilledFailsTheSolvePromptly) {
   Reap(&workers);
   // No survivors to rebalance onto: the solve reports the outage.
   EXPECT_FALSE(solution.ok());
+}
+
+// `solve --workers` runs the distributed solve behind the ordinary solve
+// verb, so every solve flag applies to it and the files it writes are
+// the ones `solve --algorithm=lazy` writes.
+class DistSolveCliTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Large enough that loading it takes well over a millisecond, so a
+    // 1 ms deadline has expired before the second round; scoped by test
+    // name because ctest runs the tests of this binary in parallel.
+    Rng rng(2025);
+    UniformGraphParams params;
+    params.num_nodes = 20000;
+    params.out_degree = 5;
+    auto graph = GenerateUniformGraph(params, &rng);
+    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+    graph_path_ = Path("graph.pcg");
+    ASSERT_TRUE(WriteGraphBinaryFile(*graph, graph_path_).ok());
+    for (int i = 0; i < 2; ++i) {
+      WorkerProc worker = SpawnWorker(graph_path_, "");
+      ASSERT_GT(worker.pid, 0);
+      workers_.push_back(worker);
+    }
+    workers_flag_ = " --workers=127.0.0.1:" +
+                    std::to_string(workers_[0].port) + ",127.0.0.1:" +
+                    std::to_string(workers_[1].port);
+  }
+
+  void TearDown() override { Reap(&workers_); }
+
+  std::string Path(const std::string& name) const {
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "/dist_solve_cli_" + test->name() + "_" +
+           name;
+  }
+
+  /// Runs `prefcover solve --graph=<graph> --k=30 <args>`; returns the
+  /// exit code and leaves stdout in *out.
+  int Solve(const std::string& args, std::string* out = nullptr) {
+    const std::string stdout_path = Path("stdout.txt");
+    const std::string command = std::string(PREFCOVER_CLI_PATH) +
+                                " solve --graph=" + graph_path_ +
+                                " --k=30 " + args + " > " + stdout_path +
+                                " 2>&1";
+    const int rc = std::system(command.c_str());
+    if (out != nullptr) *out = ReadFile(stdout_path);
+    return rc == -1 ? -1 : WEXITSTATUS(rc);
+  }
+
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  }
+
+  /// Solves with --workers and with --algorithm=lazy under `args` and
+  /// expects byte-identical --out and --index_out files.
+  void ExpectSameFilesAsLazy(const std::string& args) {
+    const std::string dist_out = Path("dist.csv");
+    const std::string dist_index = Path("dist.pcsidx");
+    const std::string lazy_out = Path("lazy.csv");
+    const std::string lazy_index = Path("lazy.pcsidx");
+    ASSERT_EQ(Solve(args + workers_flag_ + " --out=" + dist_out +
+                    " --index_out=" + dist_index),
+              0);
+    ASSERT_EQ(Solve(args + " --algorithm=lazy --out=" + lazy_out +
+                    " --index_out=" + lazy_index),
+              0);
+    const std::string csv = ReadFile(dist_out);
+    EXPECT_FALSE(csv.empty());
+    EXPECT_EQ(csv, ReadFile(lazy_out));
+    const std::string index = ReadFile(dist_index);
+    EXPECT_FALSE(index.empty());
+    EXPECT_EQ(index, ReadFile(lazy_index));
+  }
+
+  std::string graph_path_;
+  std::vector<WorkerProc> workers_;
+  std::string workers_flag_;
+};
+
+TEST_F(DistSolveCliTest, WritesTheFilesLazyWrites) {
+  ExpectSameFilesAsLazy("");
+}
+
+TEST_F(DistSolveCliTest, HonorsForceExclude) {
+  ExpectSameFilesAsLazy("--force-exclude=3,17,4096");
+}
+
+TEST_F(DistSolveCliTest, ExpiredDeadlineKeepsTheFirstItem) {
+  const std::string out_csv = Path("truncated.csv");
+  std::string out;
+  ASSERT_EQ(Solve("--deadline_ms=1 --out=" + out_csv + workers_flag_, &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("truncated"), std::string::npos) << out;
+  // A header plus exactly the first selection.
+  const std::string csv = ReadFile(out_csv);
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2) << csv;
+}
+
+TEST_F(DistSolveCliTest, ResumesALazyCheckpoint) {
+  const std::string checkpoint = Path("solve.ckpt");
+  std::string out;
+  ASSERT_EQ(Solve("--algorithm=lazy --deadline_ms=1 --checkpoint_path=" +
+                      checkpoint,
+                  &out),
+            0)
+      << out;
+  ASSERT_NE(out.find("truncated"), std::string::npos) << out;
+  const std::string resumed = Path("resumed.csv");
+  const std::string full = Path("full.csv");
+  ASSERT_EQ(Solve("--resume --checkpoint_path=" + checkpoint + " --out=" +
+                      resumed + workers_flag_,
+                  &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("resuming from"), std::string::npos) << out;
+  ASSERT_EQ(Solve("--algorithm=lazy --out=" + full), 0);
+  EXPECT_EQ(ReadFile(resumed), ReadFile(full));
+}
+
+TEST_F(DistSolveCliTest, RejectsOtherAlgorithmsAndConstraints) {
+  EXPECT_EQ(Solve("--algorithm=parallel" + workers_flag_), 1);
+  EXPECT_EQ(Solve("--budget=5" + workers_flag_), 1);
 }
 
 }  // namespace

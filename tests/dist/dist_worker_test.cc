@@ -402,6 +402,26 @@ TEST(DistWorkerTest, ExcludedNodesAreNeverProposed) {
   }
 }
 
+TEST(DistWorkerTest, EmptyShardsProposeNothing) {
+  // [0, 0) is an empty shard like any other [b, b), not "the full
+  // range": a coordinator with more workers than candidates hands them
+  // out, and the in-process sharded solve builds them for wide pools.
+  PreferenceGraph graph = MakeGraph(13, 50);
+  for (size_t begin : {size_t{0}, graph.NumNodes()}) {
+    DistWorker worker(&graph);
+    ASSERT_EQ(Call(&worker, InitLine(graph, 5, begin, begin))
+                  .rfind("OK init", 0),
+              0u);
+    const KvArgs proposal =
+        ReplyKv(Call(&worker, "propose seq=0"), "propose");
+    auto found = proposal.GetU64("found");
+    auto evals = proposal.GetU64("evals");
+    ASSERT_TRUE(found.ok() && evals.ok());
+    EXPECT_EQ(*found, 0u) << "shard " << begin << ":" << begin;
+    EXPECT_EQ(*evals, 0u) << "shard " << begin << ":" << begin;
+  }
+}
+
 TEST(DistWorkerTest, StatsAccumulateAndCkptReportsPrefix) {
   PreferenceGraph graph = MakeGraph(11);
   DistWorker worker(&graph);

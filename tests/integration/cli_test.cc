@@ -226,6 +226,62 @@ TEST_F(CliPipelineTest, SolveClampsOversizedBudget) {
   EXPECT_NE(RunCli(CliPath() + " solve --graph=" + graph_ + " --k=0"), 0);
 }
 
+// Runs a command line, returns its exit code and its stderr.
+int RunCliStderr(const std::string& command_line, std::string* stderr_out) {
+  const std::string err_path = TempPath("stderr.txt");
+  int rc = std::system(
+      (command_line + " > /dev/null 2> " + err_path).c_str());
+  std::ostringstream captured;
+  std::ifstream in(err_path);
+  captured << in.rdbuf();
+  *stderr_out = captured.str();
+  return rc == -1 ? -1 : WEXITSTATUS(rc);
+}
+
+TEST_F(CliPipelineTest, SolveRejectsNegativeThreads) {
+  SetUpPipeline();
+  for (const char* algorithm : {"parallel", "lazy-parallel"}) {
+    std::string err;
+    EXPECT_EQ(RunCliStderr(CliPath() + " solve --graph=" + graph_ +
+                               " --k=10 --threads=-1 --algorithm=" +
+                               algorithm,
+                           &err),
+              1)
+        << algorithm;
+    EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
+    EXPECT_NE(err.find("--threads"), std::string::npos) << err;
+  }
+}
+
+TEST_F(CliPipelineTest, SolveRejectsCheckpointEveryAbove32Bits) {
+  SetUpPipeline();
+  std::string err;
+  EXPECT_EQ(RunCliStderr(CliPath() + " solve --graph=" + graph_ +
+                             " --k=10 --checkpoint_path=" +
+                             TempPath("solve.ckpt") +
+                             " --checkpoint_every=4294967296",
+                         &err),
+            1);
+  EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
+  EXPECT_NE(err.find("--checkpoint_every"), std::string::npos) << err;
+}
+
+TEST_F(CliPipelineTest, SolveRejectsOutOfRangeIndexTopM) {
+  SetUpPipeline();
+  for (const char* top_m : {"-1", "4294967296"}) {
+    std::string err;
+    EXPECT_EQ(RunCliStderr(CliPath() + " solve --graph=" + graph_ +
+                               " --k=10 --index_out=" +
+                               TempPath("index.pcsidx") +
+                               " --index_top_m=" + top_m,
+                           &err),
+              1)
+        << top_m;
+    EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
+    EXPECT_NE(err.find("--index_top_m"), std::string::npos) << err;
+  }
+}
+
 TEST_F(CliPipelineTest, SolveEmitsLoadableServingIndex) {
   SetUpPipeline();
   std::string index = TempPath("index.pcsidx");

@@ -5,12 +5,12 @@
 //   construct   build a preference graph (.pcg) from a clickstream CSV,
 //               with automatic variant selection
 //   stats       describe a graph file
-//   solve       select k items maximizing the cover
+//   solve       select k items maximizing the cover (--workers runs it
+//               distributed over dist-worker processes)
 //   threshold   smallest set reaching a coverage target
 //   export      dump a .pcg graph to nodes/edges CSV
 //   serve       answer substitute queries over a serving index
 //   dist-worker candidate-shard worker for the distributed greedy solve
-//   dist-solve  coordinate a sharded greedy solve over dist-workers
 //   version     print the build version
 //
 // Typical session:
@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -355,6 +356,48 @@ Result<std::vector<CategoryQuota>> ParseQuotaSpec(
   return quotas;
 }
 
+// `solve --workers=host:port[,...]`: the distributed lazy solve over
+// running dist-worker processes, fanned out on `threads` threads
+// (0 = serially).
+Result<Solution> SolveOnWorkers(const PreferenceGraph& graph, size_t k,
+                                const GreedyOptions& options,
+                                const std::string& workers,
+                                size_t threads) {
+#if defined(__unix__) || defined(__APPLE__)
+  dist::DistSolveOptions dist_options;
+  for (const std::string& field : SplitString(workers, ',')) {
+    if (field.empty()) continue;
+    const size_t colon = field.rfind(':');
+    if (colon == std::string::npos) {
+      return Status::InvalidArgument(
+          "worker endpoint must be host:port, got " + field);
+    }
+    auto port = ParseUint32(field.substr(colon + 1));
+    if (!port.ok()) return port.status();
+    if (*port == 0 || *port > 65535) {
+      return Status::InvalidArgument("bad worker port in " + field);
+    }
+    dist::DistWorkerEndpoint endpoint;
+    endpoint.host = field.substr(0, colon);
+    endpoint.port = static_cast<uint16_t>(*port);
+    dist_options.workers.push_back(endpoint);
+  }
+  if (dist_options.workers.empty()) {
+    return Status::InvalidArgument(
+        "--workers requires at least one host:port endpoint");
+  }
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) {
+    pool = std::make_unique<ThreadPool>(threads);
+    dist_options.pool = pool.get();
+  }
+  return dist::SolveGreedyDistributed(graph, k, options, dist_options);
+#else
+  (void)graph, (void)k, (void)options, (void)workers, (void)threads;
+  return Status::Unimplemented("--workers needs a POSIX build");
+#endif
+}
+
 int CmdSolve(int argc, char** argv) {
   FlagParser flags("prefcover solve: select k items maximizing the cover");
   flags.AddString("graph", "graph.pcg", "graph path");
@@ -364,10 +407,13 @@ int CmdSolve(int argc, char** argv) {
                   "greedy|lazy|parallel|lazy-parallel|constrained|"
                   "topk-w|topk-c|random");
   flags.AddInt("threads", 4,
-               "threads for --algorithm=parallel|lazy-parallel");
-  flags.AddInt("batch", 0,
-               "CELF batch size for --algorithm=lazy-parallel (0 = auto: "
-               "4x threads)");
+               "threads for --algorithm=parallel|lazy-parallel, or the "
+               "--workers fan-out (0 = serial)");
+  flags.AddString("workers", "",
+                  "comma-separated dist-worker endpoints "
+                  "`host:port[,...]`: solve distributed over them "
+                  "(--algorithm=lazy only; byte-identical to it, see "
+                  "DISTRIBUTED.md)");
   flags.AddInt("seed", 42, "seed for --algorithm=random");
   flags.AddBool("stats", false,
                 "print solver telemetry (gain evaluations, heap pops, "
@@ -441,6 +487,20 @@ int CmdSolve(int argc, char** argv) {
   }
   if (deadline_ms > 0) {
     cancel.SetTimeout(static_cast<double>(deadline_ms) / 1000.0);
+  }
+  // Flags that narrow to unsigned types: reject what would wrap.
+  constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  if (flags.GetInt("threads") < 0) {
+    return Fail(Status::InvalidArgument("--threads must be >= 0"));
+  }
+  if (flags.GetInt("checkpoint_every") > kMaxU32) {
+    return Fail(Status::InvalidArgument(
+        "--checkpoint_every must be <= " + std::to_string(kMaxU32)));
+  }
+  const int64_t index_top_m = flags.GetInt("index_top_m");
+  if (index_top_m < 0 || index_top_m > kMaxU32) {
+    return Fail(Status::InvalidArgument(
+        "--index_top_m must be in [0, " + std::to_string(kMaxU32) + "]"));
   }
   ScopedSignalCancel signal_hookup(&cancel);
 
@@ -546,12 +606,6 @@ int CmdSolve(int argc, char** argv) {
     if (!id.ok()) return Fail(id.status());
     greedy_options.force_exclude.push_back(*id);
   }
-  const int64_t batch_flag = flags.GetInt("batch");
-  if (batch_flag < 0) {
-    return Fail(Status::InvalidArgument("--batch must be >= 0, got " +
-                                        std::to_string(batch_flag)));
-  }
-  greedy_options.batch_size = static_cast<size_t>(batch_flag);
   const bool constrained = !greedy_options.force_include.empty() ||
                            !greedy_options.force_exclude.empty();
   if (flags.GetInt("k") <= 0) {
@@ -621,6 +675,19 @@ int CmdSolve(int argc, char** argv) {
 
   // --pareto_out: a budget sweep replaces the single solve.
   const std::string& pareto_out = flags.GetString("pareto_out");
+  const std::string& workers = flags.GetString("workers");
+  if (!workers.empty()) {
+    if (algorithm != Algorithm::kGreedyLazy) {
+      return Fail(Status::InvalidArgument(
+          "--workers runs the distributed lazy solve; it requires "
+          "--algorithm=lazy"));
+    }
+    if (use_spec || !pareto_out.empty()) {
+      return Fail(Status::InvalidArgument(
+          "--workers does not support --budget/--costs/--quota/"
+          "--pareto_out"));
+    }
+  }
   if (!pareto_out.empty()) {
     if (spec.HasQuotas()) {
       return Fail(Status::InvalidArgument(
@@ -709,7 +776,9 @@ int CmdSolve(int argc, char** argv) {
 
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed")));
   Result<Solution> solution =
-      algorithm == Algorithm::kConstrainedGreedy
+      !workers.empty()
+          ? SolveOnWorkers(*graph, k, greedy_options, workers, threads)
+      : algorithm == Algorithm::kConstrainedGreedy
           ? RunAlgorithm(algorithm, *graph, k, greedy_options, spec, &rng,
                          threads)
           : RunAlgorithm(algorithm, *graph, k, greedy_options, &rng,
@@ -718,7 +787,8 @@ int CmdSolve(int argc, char** argv) {
 
   std::printf("%s (%s variant): retained %zu of %zu items, cover %.4f%% "
               "in %s\n",
-              AlgorithmDisplayName(algorithm).c_str(),
+              workers.empty() ? AlgorithmDisplayName(algorithm).c_str()
+                              : "Greedy(dist)",
               std::string(VariantName(*variant)).c_str(),
               solution->items.size(), graph->NumNodes(),
               solution->cover * 100.0,
@@ -763,8 +833,7 @@ int CmdSolve(int argc, char** argv) {
   }
   if (!flags.GetString("index_out").empty()) {
     serve::ServingIndexOptions index_options;
-    index_options.top_m =
-        static_cast<size_t>(flags.GetInt("index_top_m"));
+    index_options.top_m = static_cast<size_t>(index_top_m);
     auto index = serve::ServingIndex::Build(*graph, *solution,
                                             index_options);
     if (!index.ok()) return Fail(index.status());
@@ -1072,92 +1141,6 @@ int CmdDistWorker(int argc, char** argv) {
   return 0;
 }
 
-int CmdDistSolve(int argc, char** argv) {
-  FlagParser flags(
-      "prefcover dist-solve: coordinate a sharded greedy solve over "
-      "running dist-worker processes (byte-identical to "
-      "solve --algorithm=lazy; see DISTRIBUTED.md)");
-  flags.AddString("graph", "graph.pcg", "graph path");
-  flags.AddInt("k", 100, "number of items to retain");
-  flags.AddString("variant", "auto", "independent|normalized|auto");
-  flags.AddString("workers", "",
-                  "comma-separated worker endpoints `host:port[,...]` "
-                  "(required)");
-  flags.AddString("simd", "",
-                  "worker kernel tier scalar|word|avx2 (empty = each "
-                  "worker's default dispatch)");
-  flags.AddInt("threads", 0,
-               "fan-out pool threads for the per-round broadcasts "
-               "(0 = serial)");
-  flags.AddBool("stats", false, "print solver telemetry");
-  flags.AddString("out", "", "optional CSV for the retained items");
-  if (int rc = ParseOrExit(&flags, argc, argv); rc != 0) return rc == 2 ? 0 : 1;
-
-  auto graph = ReadGraphBinaryFile(flags.GetString("graph"));
-  if (!graph.ok()) return Fail(graph.status());
-  auto variant = ResolveVariant(flags.GetString("variant"), *graph);
-  if (!variant.ok()) return Fail(variant.status());
-  if (flags.GetInt("k") <= 0) {
-    return Fail(Status::InvalidArgument("--k must be >= 1"));
-  }
-  size_t k = static_cast<size_t>(flags.GetInt("k"));
-  if (k > graph->NumNodes()) k = graph->NumNodes();
-
-  dist::DistSolveOptions dist_options;
-  for (const std::string& field :
-       SplitString(flags.GetString("workers"), ',')) {
-    if (field.empty()) continue;
-    const size_t colon = field.rfind(':');
-    if (colon == std::string::npos) {
-      return Fail(Status::InvalidArgument(
-          "worker endpoint must be host:port, got " + field));
-    }
-    auto port = ParseUint32(field.substr(colon + 1));
-    if (!port.ok()) return Fail(port.status());
-    if (*port == 0 || *port > 65535) {
-      return Fail(Status::InvalidArgument("bad worker port in " + field));
-    }
-    dist::DistWorkerEndpoint endpoint;
-    endpoint.host = field.substr(0, colon);
-    endpoint.port = static_cast<uint16_t>(*port);
-    dist_options.workers.push_back(endpoint);
-  }
-  if (dist_options.workers.empty()) {
-    return Fail(Status::InvalidArgument(
-        "--workers requires at least one host:port endpoint"));
-  }
-  dist_options.simd_level = flags.GetString("simd");
-
-  std::unique_ptr<ThreadPool> pool;
-  if (flags.GetInt("threads") > 0) {
-    pool = std::make_unique<ThreadPool>(
-        static_cast<size_t>(flags.GetInt("threads")));
-    dist_options.pool = pool.get();
-  }
-
-  GreedyOptions greedy_options;
-  greedy_options.variant = *variant;
-  auto solution =
-      dist::SolveGreedyDistributed(*graph, k, greedy_options, dist_options);
-  if (!solution.ok()) return Fail(solution.status());
-
-  std::printf("greedy-dist (%s variant, %zu worker(s)): retained %zu of "
-              "%zu items, cover %.4f%% in %s\n",
-              std::string(VariantName(*variant)).c_str(),
-              dist_options.workers.size(), solution->items.size(),
-              graph->NumNodes(), solution->cover * 100.0,
-              FormatDuration(solution->solve_seconds).c_str());
-  if (flags.GetBool("stats")) {
-    std::printf("stats: %s\n", solution->stats.ToString().c_str());
-  }
-  if (!flags.GetString("out").empty()) {
-    Status st = WriteSolutionCsv(*graph, *solution, flags.GetString("out"));
-    if (!st.ok()) return Fail(st);
-    std::printf("wrote %s\n", flags.GetString("out").c_str());
-  }
-  return 0;
-}
-
 #endif  // __unix__ || __APPLE__
 
 int CmdVersion() {
@@ -1180,7 +1163,6 @@ void PrintUsage() {
       "  export      dump a .pcg graph to nodes/edges CSV\n"
       "  serve       answer substitute queries over a serving index\n"
       "  dist-worker candidate-shard worker for the distributed solve\n"
-      "  dist-solve  coordinate a sharded greedy solve over workers\n"
       "  version     print the build version\n\n"
       "run `prefcover <command> --help` for command flags\n",
       stdout);
@@ -1206,7 +1188,6 @@ int main(int argc, char** argv) {
   if (command == "serve") return CmdServe(sub_argc, sub_argv);
 #if defined(__unix__) || defined(__APPLE__)
   if (command == "dist-worker") return CmdDistWorker(sub_argc, sub_argv);
-  if (command == "dist-solve") return CmdDistSolve(sub_argc, sub_argv);
 #endif
   if (command == "version" || command == "--version") return CmdVersion();
   if (command == "--help" || command == "-h" || command == "help") {
