@@ -73,8 +73,9 @@ inline uint64_t GraphDigest(const PreferenceGraph& graph) {
 /// \brief Digest of everything that determines the greedy selection
 /// order: k, variant, stop_at_cover, force_include, force_exclude.
 /// Deliberately excludes seed_heap_capacity/threads (every execution
-/// selects the identical sequence) and the checkpoint/cancel fields themselves, so a
-/// resume may use a different execution, pool width or cadence.
+/// selects the identical sequence) and the checkpoint/cancel fields
+/// themselves, so a resume may use a different execution, pool width or
+/// cadence.
 uint64_t GreedyOptionsHash(const GreedyOptions& options, size_t k);
 
 /// \brief Serializes `checkpoint` and atomically replaces `path`.

@@ -4,10 +4,10 @@
 // doubles measured by the run's stopwatch).
 //
 // Evaluators accumulate plain integer tallies that the driver folds
-// into the registry once per selection round. At the end of a run the totals are also merged into
-// obs::MetricsRegistry::Global() under the same names, so a process-wide
-// metrics snapshot (CLI --metrics_out, bench harness) accumulates
-// solver work across runs.
+// into the registry once per selection round. At the end of a run the
+// totals are also merged into obs::MetricsRegistry::Global() under the
+// same names, so a process-wide metrics snapshot (CLI --metrics_out,
+// bench harness) accumulates solver work across runs.
 
 #ifndef PREFCOVER_CORE_SOLVER_STATS_H_
 #define PREFCOVER_CORE_SOLVER_STATS_H_

@@ -52,9 +52,9 @@ Result<Solution> RunAlgorithm(Algorithm algorithm,
                               size_t num_threads = 1);
 
 /// \brief As above, but with full greedy options (stop_at_cover,
-/// force_include, seed_heap_capacity, ...) for the greedy family; `options.variant`
-/// is used for every algorithm. This is the entry point the CLI uses so
-/// traced solves carry the eval phase span.
+/// force_include, seed_heap_capacity, ...) for the greedy family;
+/// `options.variant` is used for every algorithm. This is the entry point
+/// the CLI uses so traced solves carry the eval phase span.
 Result<Solution> RunAlgorithm(Algorithm algorithm,
                               const PreferenceGraph& graph, size_t k,
                               const GreedyOptions& options, Rng* rng,
