@@ -303,8 +303,8 @@ int main(int argc, char** argv) {
   }
 
   // The constrained cost-ratio greedy at unit costs with no constraints:
-  // selection-identical to solve/lazy/n10000 and run by the same driver
-  // and engine, so the runtime ratio between the two cases is the pure
+  // selection-identical to solve/lazy/n10000 and run by the same round
+  // loop and engine, so the runtime ratio between the two cases is the pure
   // overhead of the constraint plumbing (the constrained evaluator, its
   // per-solve setup, the singleton guard when budgeted). perf.yml gates
   // it at <= 1.05x.

@@ -11,7 +11,7 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-// Collect-and-compact top-cap selection shared by both seed builders:
+// Collect-and-compact top-cap selection shared by both seed walks:
 // candidates above the running threshold are appended to a 2*cap buffer
 // cut back to the exact top `cap` (nth_element by pair order) whenever it
 // fills — O(1) amortized per survivor instead of a push_heap. (key, id)

@@ -57,7 +57,7 @@ std::vector<NodeId> RatioOrder(const PreferenceGraph& graph,
   return order;
 }
 
-// The constrained solve as an evaluator of the greedy driver. While any
+// The constrained solve as an evaluator of the greedy round loop. While any
 // category is below its minimum, each round is the quota fill: the best
 // gain/cost ratio among members of still-deficient categories that are
 // admissible AND leave enough of the remaining budget to finish every
@@ -341,9 +341,9 @@ Result<ConstrainedSolution> SolveConstrainedCover(
   // The (1 - 1/e)/2 guard: under a budget the ratio rule alone has no
   // constant factor (a cheap low-gain item can crowd out one expensive
   // high-gain item), so the best affordable singleton is computed up
-  // front — the state is still empty when the driver builds the
-  // evaluator — and compared at the end. Minimum quotas disable it: one
-  // item cannot satisfy several minima.
+  // front — the state is still empty when SolveGreedyWithEvaluator
+  // builds the evaluator — and compared at the end. Minimum quotas
+  // disable it: one item cannot satisfy several minima.
   CandidateProposal single;
   const auto factory = [&](const EvaluatorContext& context)
       -> Result<std::unique_ptr<CandidateEvaluator>> {

@@ -6,8 +6,8 @@
 // with a cost-ratio lazy greedy over the same coverage kernels the
 // unconstrained executions use.
 //
-// Algorithm. The greedy driver (core/greedy_solver.h) over a
-// constrained evaluator, in two phases:
+// Algorithm. The greedy round loop (SolveGreedyWithEvaluator,
+// core/greedy_solver.h) over a constrained evaluator, in two phases:
 //
 //   1. Quota fill: while any category is below its minimum, pick the
 //      best-ratio admissible member of a deficient category. Under a

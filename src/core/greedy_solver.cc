@@ -26,7 +26,7 @@ namespace {
 //
 // Telemetry lives in a run-scoped MetricsRegistry (SolverStats is built
 // as a view over its snapshot at the end). Evaluators accumulate plain
-// integer tallies, which the driver folds into the counters once per
+// integer tallies, which the round loop folds into the counters once per
 // selection round.
 struct GreedyRun {
   GreedyRun(const PreferenceGraph* graph, Variant variant)

@@ -21,7 +21,7 @@
 // Ties break to the smaller id in every execution, so all four produce
 // byte-identical solutions; so do the constrained solver
 // (core/constrained_solver.h) at unit costs and the distributed solve
-// (src/dist/), which run the same driver. Every execution fills
+// (src/dist/), which run the same loop. Every execution fills
 // `Solution::stats` (SolverStats) so pruning effectiveness and parallel
 // utilization are measurable.
 //
@@ -120,9 +120,9 @@ struct GreedyOptions {
 
 /// \brief Validates a GreedyOptions instance against the problem size: NaN
 /// stop_at_cover, duplicate or out-of-range force_include/force_exclude,
-/// overlap between the two lists, force_include larger than k. The
-/// driver applies exactly this check, so every execution accepts and
-/// rejects the same inputs with the same errors.
+/// overlap between the two lists, force_include larger than k.
+/// SolveGreedyWithEvaluator applies exactly this check, so every
+/// execution accepts and rejects the same inputs with the same errors.
 Status ValidateGreedyOptions(const PreferenceGraph& graph, size_t k,
                              const GreedyOptions& options);
 
@@ -151,13 +151,12 @@ using CandidateEvaluatorFactory =
     std::function<Result<std::unique_ptr<CandidateEvaluator>>(
         const EvaluatorContext&)>;
 
-/// \brief The greedy driver (Algorithm 1's round loop) over a
-/// CandidateEvaluator: per round — cancellation / stop_at_cover checks,
-/// one BestCandidate() argmax, AddNode on the shared state, one
-/// CommitWinner() — with prefix seeding, checkpoint cadence, telemetry
-/// and Solution assembly.
+/// \brief Algorithm 1's round loop over a CandidateEvaluator: per round
+/// — cancellation / stop_at_cover checks, one BestCandidate() argmax,
+/// AddNode on the shared state, one CommitWinner() — with prefix
+/// seeding, checkpoint cadence, telemetry and Solution assembly.
 ///
-/// Every execution is this driver: the four above over the in-process
+/// Every execution is this loop: the four above over the in-process
 /// scan and CELF evaluators, SolveConstrainedCover over a cost-keyed
 /// engine, SolveGreedyDistributed (src/dist/) over the coordinator-side
 /// evaluator. Any evaluator whose BestCandidate returns the exact

@@ -3,7 +3,7 @@
 // *view* over that registry (plus the timing fields, which are plain
 // doubles measured by the run's stopwatch).
 //
-// Evaluators accumulate plain integer tallies that the driver folds
+// Evaluators accumulate plain integer tallies that the round loop folds
 // into the registry once per selection round. At the end of a run the
 // totals are also merged into obs::MetricsRegistry::Global() under the
 // same names, so a process-wide metrics snapshot (CLI --metrics_out,
