@@ -58,7 +58,7 @@ size_t ParallelArgMax(ThreadPool* pool, size_t n,
                       const CancelToken* cancel = nullptr);
 
 /// \brief Batched variant of ParallelArgMax over an explicit candidate
-/// list (the batched-CELF re-evaluation primitive).
+/// list.
 ///
 /// Evaluates `score(candidates[j])` for every j concurrently. If `scores`
 /// is non-null it is resized to `candidates.size()` and receives every
