@@ -504,10 +504,8 @@ int main(int argc, char** argv) {
     run_or_die(bench_case);
   }
 
-  // Serving hot path: sequential SubmitAndWait through the full engine
-  // (queue, dispatcher, cache) against a prebuilt index. Sequential
-  // submission keeps the cache traffic deterministic: misses = distinct
-  // subs keys, everything else hits.
+  // Serving hot path: sequential QueryEngine::Answer calls against a
+  // prebuilt index.
   {
     const uint32_t n = 10'000;
     auto graph =
@@ -526,51 +524,7 @@ int main(int argc, char** argv) {
     bench_case.n = n;
     bench_case.run = [index, n](BenchRecorder* recorder) -> Status {
       constexpr uint64_t kQueries = 10'000;
-      serve::QueryEngineOptions options;
-      options.batch_window_us = 0;  // latency mode: no fill wait
-      serve::QueryEngine engine(index, options);
-      uint64_t ok_count = 0;
-      for (uint64_t i = 0; i < kQueries; ++i) {
-        serve::Request request;
-        if (i % 4 == 0) {
-          request.type = serve::QueryType::kCovered;
-          request.v = static_cast<NodeId>((i * 7) % n);
-        } else {
-          request.type = serve::QueryType::kSubstitutes;
-          request.v = static_cast<NodeId>((i * 13) % 512);  // cacheable set
-          request.top_j = 4;
-        }
-        if (engine.SubmitAndWait(request).status.ok()) ++ok_count;
-      }
-      serve::QueryEngineStats stats = engine.Stats();
-      recorder->Record("items", static_cast<double>(kQueries));
-      recorder->Record("ok", static_cast<double>(ok_count));
-      recorder->Record("cache_hits", static_cast<double>(stats.cache_hits));
-      recorder->Record("cache_misses",
-                       static_cast<double>(stats.cache_misses));
-      return Status::OK();
-    };
-    run_or_die(bench_case);
-
-    // Same stream with every fault-tolerance feature ARMED but idle:
-    // per-request deadlines (EWMA shed math runs at every admission),
-    // brownout watermark set but never reached. perf.yml gates this
-    // case against the plain sibling above at <= 1.05x — the price of
-    // the robustness rails on a healthy server.
-    BenchCase ft_case;
-    ft_case.name = "serve/query_engine_ft/n" + std::to_string(n);
-    ft_case.profile = "uniform";
-    ft_case.variant = "independent";
-    ft_case.solver = "query_engine_ft";
-    ft_case.n = n;
-    ft_case.run = [index, n](BenchRecorder* recorder) -> Status {
-      constexpr uint64_t kQueries = 10'000;
-      serve::QueryEngineOptions options;
-      options.batch_window_us = 0;
-      options.default_deadline_us = 10'000'000;  // 10s: armed, never hit
-      options.deadline_shed = true;
-      options.brownout_watermark = 1'000'000;  // armed, never reached
-      serve::QueryEngine engine(index, options);
+      serve::QueryEngine engine(index);
       uint64_t ok_count = 0;
       for (uint64_t i = 0; i < kQueries; ++i) {
         serve::Request request;
@@ -582,18 +536,13 @@ int main(int argc, char** argv) {
           request.v = static_cast<NodeId>((i * 13) % 512);
           request.top_j = 4;
         }
-        if (engine.SubmitAndWait(request).status.ok()) ++ok_count;
+        if (engine.Answer(request).status.ok()) ++ok_count;
       }
-      serve::QueryEngineStats stats = engine.Stats();
       recorder->Record("items", static_cast<double>(kQueries));
       recorder->Record("ok", static_cast<double>(ok_count));
-      recorder->Record("deadline_shed",
-                       static_cast<double>(stats.deadline_shed));
-      recorder->Record("brownouts",
-                       static_cast<double>(stats.brownouts));
       return Status::OK();
     };
-    run_or_die(ft_case);
+    run_or_die(bench_case);
   }
 
   if (sampler != nullptr) {

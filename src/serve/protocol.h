@@ -15,7 +15,7 @@
 //   OK coverk <c>            C(prefix of length k)
 //   OK batch <n> <bits>      n requested ids, '0'/'1' covered flags
 //   ERR <Code> <message>     the request failed (parse error, id out of
-//                            range, deadline exceeded, queue full, ...)
+//                            range, ...)
 //
 // Probabilities and weights are formatted with "%.17g": a double always
 // round-trips, so two answers derived from the same value are
@@ -23,8 +23,8 @@
 // serving path and a direct CoverFunction/graph lookup.
 //
 // ParseRequest/FormatResponse are pure; AnswerOnIndex computes a response
-// from a ServingIndex without any engine machinery (the QueryEngine wraps
-// it with batching, caching and deadlines; tests call it directly).
+// from a ServingIndex (the QueryEngine calls it on the current index
+// snapshot; tests call it directly).
 
 #ifndef PREFCOVER_SERVE_PROTOCOL_H_
 #define PREFCOVER_SERVE_PROTOCOL_H_
@@ -63,9 +63,6 @@ struct Request {
   uint64_t coverage_k = 0;
   /// Item ids for kBatchCovered.
   std::vector<NodeId> batch;
-  /// Absolute steady_clock deadline in nanoseconds; 0 = none. Filled by
-  /// the engine from its default when unset.
-  int64_t deadline_ns = 0;
 };
 
 /// \brief One answer: a Status plus the formatted protocol line ("OK ..."
@@ -74,10 +71,6 @@ struct Request {
 struct Response {
   Status status;
   std::string line;
-  /// steady_clock nanos at which the engine fulfilled the request (0 for
-  /// responses produced outside the engine). Lets a load generator compute
-  /// exact per-request latency without racing the future hand-off.
-  int64_t done_ns = 0;
 };
 
 /// \brief Parses one protocol line into a Request. The engine-control

@@ -26,20 +26,6 @@ std::vector<double> LatencyBucketsMicros() {
   return bounds;
 }
 
-Response MakeErrorResponse(Status status, int64_t done_ns) {
-  Response response;
-  response.line = FormatErrorLine(status);
-  response.status = std::move(status);
-  response.done_ns = done_ns;
-  return response;
-}
-
-/// Cache key of a substitutes query: the only cached kind. The id and the
-/// requested depth both shape the response line, so both are in the key.
-uint64_t SubsCacheKey(NodeId v, uint32_t top_j) {
-  return (static_cast<uint64_t>(v) << 32) | static_cast<uint64_t>(top_j);
-}
-
 }  // namespace
 
 int64_t SteadyNowNanos() {
@@ -49,109 +35,24 @@ int64_t SteadyNowNanos() {
 }
 
 QueryEngine::QueryEngine(std::shared_ptr<const ServingIndex> index,
-                         QueryEngineOptions options)
-    : options_(options) {
-  assert(index != nullptr && "QueryEngine needs an index");
-  if (options_.batch_limit == 0) options_.batch_limit = 1;
+                         QueryEngineOptions /*options*/)
+    : index_(std::move(index)) {
+  assert(index_ != nullptr && "QueryEngine needs an index");
   auto& registry = obs::MetricsRegistry::Global();
   requests_total_ = registry.GetCounter("serve.requests");
-  batches_total_ = registry.GetCounter("serve.batches");
-  cache_hit_ = registry.GetCounter("serve.cache.hit");
-  cache_miss_ = registry.GetCounter("serve.cache.miss");
-  admission_rejected_ = registry.GetCounter("serve.admission_rejected");
-  deadline_expired_ = registry.GetCounter("serve.deadline_expired");
-  deadline_shed_ = registry.GetCounter("serve.deadline_shed");
-  brownout_ = registry.GetCounter("serve.brownout");
   index_reloads_ = registry.GetCounter("serve.index_reloads");
-  batch_size_hist_ = registry.GetHistogram(
-      "serve.batch_size",
-      {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
   latency_us_hist_ =
       registry.GetHistogram("serve.latency_us", LatencyBucketsMicros());
-  qps_gauge_ = registry.GetGauge("serve.qps");
-
-  auto state = std::make_shared<State>();
-  state->index = std::move(index);
-  state->cache = std::make_shared<LruCache>(options_.cache_capacity);
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    state_ = std::move(state);
-  }
-
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
-QueryEngine::~QueryEngine() { Shutdown(); }
-
-void QueryEngine::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutting_down_ = true;
-  }
-  queue_cv_.notify_all();
-  // Serialize the join itself: a second caller (e.g. the destructor
-  // racing an explicit Shutdown) blocks here until the first finishes,
-  // then sees joinable() == false. Joining the same thread from two
-  // threads concurrently would be UB.
-  std::lock_guard<std::mutex> join_lock(shutdown_mu_);
-  if (dispatcher_.joinable()) dispatcher_.join();
-}
-
-std::future<Response> QueryEngine::Submit(Request request) {
-  const int64_t now_ns = SteadyNowNanos();
-  if (request.deadline_ns == 0 && options_.default_deadline_us > 0) {
-    request.deadline_ns = now_ns + options_.default_deadline_us * 1000;
-  }
-  Pending pending;
-  pending.request = std::move(request);
-  pending.enqueue_ns = now_ns;
-  std::future<Response> future = pending.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutting_down_) {
-      pending.promise.set_value(MakeErrorResponse(
-          Status::Cancelled("engine is shut down"), now_ns));
-      return future;
-    }
-    if (queue_.size() >= options_.max_queue) {
-      admission_rejected_->Increment();
-      n_admission_rejected_.fetch_add(1, std::memory_order_relaxed);
-      pending.promise.set_value(MakeErrorResponse(
-          Status::OutOfRange(
-              "queue full (" + std::to_string(queue_.size()) +
-              " requests pending), try again"),
-          now_ns));
-      return future;
-    }
-    if (options_.deadline_shed && pending.request.deadline_ns > 0) {
-      // Deadline-aware shed: reject at the door a request that has
-      // already expired, or that the backlog × recent service time says
-      // cannot be reached in time. Not counted in serve.requests
-      // (symmetric with admission_rejected: the engine never worked on
-      // it).
-      const int64_t ewma =
-          ewma_service_ns_.load(std::memory_order_relaxed);
-      const int64_t eta_ns =
-          now_ns +
-          (ewma > 0 ? static_cast<int64_t>(queue_.size()) * ewma : 0);
-      if (now_ns >= pending.request.deadline_ns ||
-          eta_ns > pending.request.deadline_ns) {
-        deadline_shed_->Increment();
-        n_deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-        pending.promise.set_value(MakeErrorResponse(
-            Status::Cancelled("deadline unreachable, shed at admission"),
-            now_ns));
-        return future;
-      }
-    }
-    queue_.push_back(std::move(pending));
-  }
-  queue_cv_.notify_one();
-  return future;
-}
-
-Response QueryEngine::SubmitAndWait(Request request) {
-  return Submit(std::move(request)).get();
+Response QueryEngine::Answer(const Request& request) {
+  const int64_t start_ns = SteadyNowNanos();
+  Response response = AnswerOnIndex(*index(), request);
+  requests_total_->Increment();
+  n_requests_.fetch_add(1, std::memory_order_relaxed);
+  latency_us_hist_->Record(
+      static_cast<double>(SteadyNowNanos() - start_ns) / 1000.0);
+  return response;
 }
 
 Status QueryEngine::SwapIndex(std::shared_ptr<const ServingIndex> index) {
@@ -161,220 +62,25 @@ Status QueryEngine::SwapIndex(std::shared_ptr<const ServingIndex> index) {
   PREFCOVER_FAILPOINT_STATUS("serve.reload_swap");
   obs::Span span("serve.reload_swap", "serve");
   span.Arg("retained", static_cast<uint64_t>(index->NumRetained()));
-  auto state = std::make_shared<State>();
-  state->index = std::move(index);
-  state->cache = std::make_shared<LruCache>(options_.cache_capacity);
   {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    state_ = std::move(state);
+    std::lock_guard<std::mutex> lock(index_mu_);
+    index_ = std::move(index);
   }
   index_reloads_->Increment();
   n_index_reloads_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
-std::shared_ptr<const QueryEngine::State> QueryEngine::LoadState() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return state_;
-}
-
 std::shared_ptr<const ServingIndex> QueryEngine::index() const {
-  return LoadState()->index;
+  std::lock_guard<std::mutex> lock(index_mu_);
+  return index_;
 }
 
 QueryEngineStats QueryEngine::Stats() const {
   QueryEngineStats stats;
   stats.requests = n_requests_.load(std::memory_order_relaxed);
-  stats.batches = n_batches_.load(std::memory_order_relaxed);
-  stats.cache_hits = n_cache_hits_.load(std::memory_order_relaxed);
-  stats.cache_misses = n_cache_misses_.load(std::memory_order_relaxed);
-  stats.admission_rejected =
-      n_admission_rejected_.load(std::memory_order_relaxed);
-  stats.deadline_expired =
-      n_deadline_expired_.load(std::memory_order_relaxed);
-  stats.deadline_shed = n_deadline_shed_.load(std::memory_order_relaxed);
-  stats.brownouts = n_brownouts_.load(std::memory_order_relaxed);
   stats.index_reloads = n_index_reloads_.load(std::memory_order_relaxed);
   return stats;
-}
-
-void QueryEngine::SetPaused(bool paused) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    paused_ = paused;
-  }
-  queue_cv_.notify_all();
-}
-
-void QueryEngine::AnswerOne(const State& state, Pending* pending,
-                            bool brownout) {
-  Request& request = pending->request;
-  if (request.deadline_ns > 0 && SteadyNowNanos() > request.deadline_ns) {
-    deadline_expired_->Increment();
-    n_deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    // Expired requests still count as requests, so cache_hits +
-    // cache_misses + deadline_expired reconciles against requests.
-    requests_total_->Increment();
-    n_requests_.fetch_add(1, std::memory_order_relaxed);
-    const int64_t done_ns = SteadyNowNanos();
-    latency_us_hist_->Record(
-        static_cast<double>(done_ns - pending->enqueue_ns) / 1000.0);
-    pending->promise.set_value(MakeErrorResponse(
-        Status::Cancelled("deadline exceeded while queued"), done_ns));
-    return;
-  }
-
-  Response response;
-  bool answered = false;
-  if (request.type == QueryType::kSubstitutes) {
-    if (brownout) {
-      // Degraded answer: top-1 substitutes, zero cache traffic. Neither
-      // looked up (a full-depth cached line would be the wrong shape)
-      // nor filled (a top-1 line must not shadow full answers after the
-      // queue drains).
-      if (request.top_j > 1) request.top_j = 1;
-      brownout_->Increment();
-      n_brownouts_.fetch_add(1, std::memory_order_relaxed);
-      response = AnswerOnIndex(*state.index, request);
-      answered = true;
-    } else if (state.cache->enabled()) {
-      const uint64_t key = SubsCacheKey(request.v, request.top_j);
-      if (state.cache->Get(key, &response.line)) {
-        cache_hit_->Increment();
-        n_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        answered = true;
-      } else {
-        cache_miss_->Increment();
-        n_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-        response = AnswerOnIndex(*state.index, request);
-        if (response.status.ok()) state.cache->Put(key, response.line);
-        answered = true;
-      }
-    }
-  }
-  if (!answered) response = AnswerOnIndex(*state.index, request);
-
-  response.done_ns = SteadyNowNanos();
-  requests_total_->Increment();
-  n_requests_.fetch_add(1, std::memory_order_relaxed);
-  latency_us_hist_->Record(
-      static_cast<double>(response.done_ns - pending->enqueue_ns) / 1000.0);
-  pending->promise.set_value(std::move(response));
-}
-
-void QueryEngine::DispatcherLoop() {
-  // One-second tumbling window behind the serve.qps gauge.
-  int64_t qps_window_start_ns = SteadyNowNanos();
-  uint64_t qps_window_count = 0;
-
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    queue_cv_.wait(lock, [this] {
-      return shutting_down_ || (!paused_ && !queue_.empty());
-    });
-    if (queue_.empty()) {
-      if (shutting_down_) return;
-      continue;
-    }
-    // Let the batch fill, bounded by the admission window. On shutdown
-    // drain immediately — latency no longer matters, emptiness does.
-    if (!shutting_down_ && options_.batch_window_us > 0 &&
-        queue_.size() < options_.batch_limit) {
-      const auto fill_deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(options_.batch_window_us);
-      queue_cv_.wait_until(lock, fill_deadline, [this] {
-        return shutting_down_ || queue_.size() >= options_.batch_limit;
-      });
-    }
-
-    std::vector<Pending> batch;
-    const size_t take = std::min(queue_.size(), options_.batch_limit);
-    batch.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    // Brownout is decided per batch on the backlog LEFT BEHIND: a full
-    // batch with an empty queue is healthy saturation, not overload.
-    const bool brownout =
-        options_.brownout_watermark > 0 &&
-        queue_.size() >= options_.brownout_watermark;
-    lock.unlock();
-
-    const int64_t service_start_ns = SteadyNowNanos();
-
-    {
-      obs::Span span("serve.batch", "serve");
-      span.Arg("size", static_cast<uint64_t>(batch.size()));
-      // One consistent snapshot for the whole batch: a concurrent
-      // SwapIndex affects only later batches.
-      std::shared_ptr<const State> state = LoadState();
-      batches_total_->Increment();
-      n_batches_.fetch_add(1, std::memory_order_relaxed);
-      batch_size_hist_->Record(static_cast<double>(batch.size()));
-
-      if (options_.pool != nullptr &&
-          batch.size() >= options_.pool_fanout_threshold &&
-          options_.pool->num_threads() > 1) {
-        const size_t chunks = options_.pool->num_threads();
-        const size_t chunk_size = (batch.size() + chunks - 1) / chunks;
-        std::atomic<size_t> remaining{0};
-        std::promise<void> all_done;
-        size_t launched = 0;
-        for (size_t begin = 0; begin < batch.size(); begin += chunk_size) {
-          ++launched;
-        }
-        remaining.store(launched, std::memory_order_relaxed);
-        for (size_t begin = 0; begin < batch.size(); begin += chunk_size) {
-          const size_t end = std::min(begin + chunk_size, batch.size());
-          options_.pool->Submit(
-              [this, &state, &batch, &remaining, &all_done, brownout,
-               begin, end] {
-                for (size_t i = begin; i < end; ++i) {
-                  AnswerOne(*state, &batch[i], brownout);
-                }
-                if (remaining.fetch_sub(1, std::memory_order_acq_rel) ==
-                    1) {
-                  all_done.set_value();
-                }
-              });
-        }
-        // The batch, the snapshot and the latch live on this frame, so
-        // the dispatcher must not outrun the workers.
-        all_done.get_future().wait();
-      } else {
-        for (Pending& pending : batch) {
-          AnswerOne(*state, &pending, brownout);
-        }
-      }
-    }
-
-    qps_window_count += batch.size();
-    const int64_t now_ns = SteadyNowNanos();
-    {
-      // EWMA (alpha = 1/8) of per-request service time, feeding the
-      // deadline-aware shed estimate in Submit.
-      const int64_t per_req_ns =
-          (now_ns - service_start_ns) / static_cast<int64_t>(batch.size());
-      const int64_t prev =
-          ewma_service_ns_.load(std::memory_order_relaxed);
-      const int64_t next =
-          prev == 0 ? per_req_ns : prev + (per_req_ns - prev) / 8;
-      ewma_service_ns_.store(next, std::memory_order_relaxed);
-    }
-    if (now_ns - qps_window_start_ns >= 1000000000) {
-      const double seconds =
-          static_cast<double>(now_ns - qps_window_start_ns) / 1e9;
-      qps_gauge_->Set(static_cast<int64_t>(
-          static_cast<double>(qps_window_count) / seconds));
-      qps_window_start_ns = now_ns;
-      qps_window_count = 0;
-    }
-
-    lock.lock();
-    if (shutting_down_ && queue_.empty()) return;
-  }
 }
 
 }  // namespace serve

@@ -1,151 +1,65 @@
-// Concurrent query engine: micro-batching, caching, admission control and
-// hot reload on top of a ServingIndex.
+// Query engine: an atomically swappable ServingIndex snapshot plus the
+// request counters.
 //
-// Shape (the same skeleton an inference server uses):
+// Answer runs on the caller's thread: it takes the current snapshot,
+// calls AnswerOnIndex and counts the request. Every session thread (the
+// stdin loop, one thread per TCP connection) calls it concurrently. Each
+// answer comes from one complete index; a reload between two lines of
+// one session is allowed.
 //
-//   Submit(Request) -> future<Response>
-//        |                        requests queue (bounded: admission control)
-//        v
-//   dispatcher thread: drains up to `batch_limit` requests every
-//   `batch_window_us` microseconds (or immediately when a full batch is
-//   waiting), answers them against one consistent {index, cache} snapshot,
-//   optionally fanning chunks out to a ThreadPool, and fulfills the
-//   promises with the engine-side completion timestamp.
-//
-// Micro-batching amortizes the queue handoff and snapshot load across
-// many requests and gives every batch a single consistent view of the
-// index — a reload can never split one batch across two indexes.
-//
-// Hot reload: SwapIndex publishes a new State{index, fresh cache} by
-// swapping a mutex-guarded shared_ptr (the critical section is a pointer
-// copy, so readers never wait meaningfully). In-flight batches keep the
-// snapshot
-// they started with; new batches see the new one. The cache travels WITH
-// the index (a fresh cache per swap), so a cached response can never
-// outlive the index it was computed from.
-//
-// Deadlines: a request carries an absolute steady-clock deadline
-// (defaulted from QueryEngineOptions::default_deadline_us at admission).
-// The dispatcher rejects requests whose deadline passed while queued with
-// Status::Cancelled instead of doing work nobody is waiting for.
-//
-// Admission: when the queue holds max_queue requests, Submit resolves the
-// future immediately with Status::OutOfRange ("queue full") — shedding
-// load at the door keeps queueing delay bounded under overload.
-//
-// Deadline-aware shedding: Submit also rejects (Status::Cancelled) a
-// request whose deadline has already passed, or that the dispatcher
-// cannot plausibly reach in time — estimated as queue_depth × an EWMA of
-// recent per-request service time. Doing the math at the door instead of
-// after dequeue means an overloaded engine spends zero work on requests
-// nobody will wait for (serve.deadline_shed).
-//
-// Brownout: past `brownout_watermark` of post-batch queue backlog, the
-// engine serves degraded answers — substitutes truncated to top-1 and
-// the cache bypassed entirely (no fill, no lookup) — so each answer gets
-// cheaper exactly when the queue is deepest, trading answer richness for
-// queue drain rate instead of failing closed (serve.brownout counts the
-// degraded answers). Off by default; 0 disables.
+// Hot reload: SwapIndex publishes a new index by swapping a mutex-guarded
+// shared_ptr (the critical section is a pointer copy, so readers never
+// wait meaningfully). An Answer in progress keeps the snapshot it took;
+// later ones see the new index.
 //
 // Observability (all in MetricsRegistry::Global; catalog in
-// OBSERVABILITY.md): serve.requests, serve.batches, serve.batch_size
-// histogram, serve.latency_us histogram (queue + service time),
-// serve.cache.hit / serve.cache.miss, serve.admission_rejected,
-// serve.deadline_expired, serve.index_reloads, serve.qps gauge (updated
-// once a second by the dispatcher), plus a "serve.batch" span per batch.
+// OBSERVABILITY.md): serve.requests, serve.latency_us histogram (service
+// time of one Answer), serve.index_reloads, plus a "serve.reload_swap"
+// span per swap.
 // Failpoint: `serve.reload_swap` fires inside SwapIndex before the swap.
 
 #ifndef PREFCOVER_SERVE_QUERY_ENGINE_H_
 #define PREFCOVER_SERVE_QUERY_ENGINE_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "obs/metrics.h"
-#include "serve/lru_cache.h"
 #include "serve/protocol.h"
 #include "serve/serving_index.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace prefcover {
 namespace serve {
 
-/// \brief Engine knobs; every one maps to a `prefcover_cli serve` flag.
-struct QueryEngineOptions {
-  /// Max requests answered per batch.
-  size_t batch_limit = 64;
-  /// Max microseconds the dispatcher waits for a batch to fill once the
-  /// first request arrives. 0 = drain whatever is queued immediately.
-  int64_t batch_window_us = 100;
-  /// Total entries in the substitute-response cache; 0 disables caching.
-  size_t cache_capacity = 65536;
-  /// Queued-request bound; Submit sheds load beyond it.
-  size_t max_queue = 8192;
-  /// Default per-request deadline applied at admission when the request
-  /// has none; 0 = no deadline.
-  int64_t default_deadline_us = 0;
-  /// Optional worker pool for intra-batch fan-out. nullptr = the
-  /// dispatcher thread answers the whole batch itself (right for small
-  /// batches and single-core hosts; also makes cache traffic
-  /// deterministic, which the micro-bench relies on).
-  ThreadPool* pool = nullptr;
-  /// Batch size at or above which the pool (when given) is engaged.
-  size_t pool_fanout_threshold = 32;
-  /// Queue backlog (requests still waiting after a batch is taken) at or
-  /// above which the engine serves brownout answers: `subs` truncated to
-  /// top-1, cache bypassed. 0 disables brownout.
-  size_t brownout_watermark = 0;
-  /// Reject requests at admission that would certainly miss their
-  /// deadline (already expired, or backlog × EWMA service time says so)
-  /// instead of queueing work nobody will wait for.
-  bool deadline_shed = true;
-};
+/// \brief The engine has no knobs; this empty struct keeps the
+/// two-argument constructor that existing callers use.
+struct QueryEngineOptions {};
 
 /// \brief Point-in-time engine counters (for the `stats` control verb).
 struct QueryEngineStats {
   uint64_t requests = 0;
-  uint64_t batches = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t admission_rejected = 0;
-  uint64_t deadline_expired = 0;
-  /// Requests rejected at admission because the deadline was unreachable.
-  uint64_t deadline_shed = 0;
-  /// Degraded (brownout) answers served.
-  uint64_t brownouts = 0;
   uint64_t index_reloads = 0;
 };
 
-/// \brief Concurrent serving engine over an atomically swappable index.
+/// \brief Serving engine over an atomically swappable index.
 class QueryEngine {
  public:
   QueryEngine(std::shared_ptr<const ServingIndex> index,
               QueryEngineOptions options = QueryEngineOptions());
 
-  /// Drains the queue (every pending future is fulfilled) and joins the
-  /// dispatcher.
-  ~QueryEngine();
-
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Enqueues a request. The future always becomes ready — with the
-  /// answer, a deadline/shutdown Cancelled error, or an immediate
-  /// queue-full OutOfRange error.
-  std::future<Response> Submit(Request request);
+  /// Answers `request` against the current index snapshot on the calling
+  /// thread. Safe to call from any number of threads at once.
+  Response Answer(const Request& request);
 
-  /// Submit + wait, for callers without pipelining.
-  Response SubmitAndWait(Request request);
-
-  /// Atomically replaces the served index (and starts a fresh cache).
-  /// In-flight batches finish on the snapshot they started with.
-  /// Failpoint `serve.reload_swap` can inject an error before the swap.
+  /// Atomically replaces the served index. Answers in progress finish on
+  /// the snapshot they took. Failpoint `serve.reload_swap` can inject an
+  /// error before the swap.
   Status SwapIndex(std::shared_ptr<const ServingIndex> index);
 
   /// The currently served index snapshot.
@@ -155,96 +69,27 @@ class QueryEngine {
   /// global registry, so concurrent engines don't bleed together).
   QueryEngineStats Stats() const;
 
-  /// Stops accepting requests, answers everything queued, joins the
-  /// dispatcher. Idempotent; the destructor calls it.
-  void Shutdown();
-
-  /// Pauses (true) or resumes (false) the dispatcher between batches.
-  /// Submissions still queue while paused. Exists so tests can build a
-  /// deterministic backlog and observe brownout/shed behaviour without
-  /// racing the dispatcher.
-  void SetPaused(bool paused);
-
-  const QueryEngineOptions& options() const { return options_; }
-
  private:
-  /// One index snapshot plus the cache scoped to it.
-  struct State {
-    std::shared_ptr<const ServingIndex> index;
-    std::shared_ptr<LruCache> cache;
-  };
-
-  struct Pending {
-    Request request;
-    std::promise<Response> promise;
-    /// Admission timestamp; serve.latency_us measures from here, so the
-    /// histogram includes queueing delay, not just service time.
-    int64_t enqueue_ns = 0;
-  };
-
-  void DispatcherLoop();
-  /// Answers `pending` against `state`, fulfilling its promise. Under
-  /// `brownout`, substitutes are truncated to top-1 and the cache is
-  /// bypassed entirely.
-  void AnswerOne(const State& state, Pending* pending, bool brownout);
-
-  QueryEngineOptions options_;
-
   // Global instruments, resolved once (names in OBSERVABILITY.md).
   obs::Counter* requests_total_;
-  obs::Counter* batches_total_;
-  obs::Counter* cache_hit_;
-  obs::Counter* cache_miss_;
-  obs::Counter* admission_rejected_;
-  obs::Counter* deadline_expired_;
-  obs::Counter* deadline_shed_;
-  obs::Counter* brownout_;
   obs::Counter* index_reloads_;
-  obs::Histogram* batch_size_hist_;
   obs::Histogram* latency_us_hist_;
-  obs::Gauge* qps_gauge_;
 
-  // Engine-local tallies behind Stats(); the dispatcher and Submit
-  // maintain them with relaxed atomics.
+  // Engine-local tallies behind Stats().
   std::atomic<uint64_t> n_requests_{0};
-  std::atomic<uint64_t> n_batches_{0};
-  std::atomic<uint64_t> n_cache_hits_{0};
-  std::atomic<uint64_t> n_cache_misses_{0};
-  std::atomic<uint64_t> n_admission_rejected_{0};
-  std::atomic<uint64_t> n_deadline_expired_{0};
-  std::atomic<uint64_t> n_deadline_shed_{0};
-  std::atomic<uint64_t> n_brownouts_{0};
   std::atomic<uint64_t> n_index_reloads_{0};
 
-  // EWMA of per-request service time (ns), maintained by the dispatcher
-  // after each batch; Submit reads it for deadline-aware shedding.
-  std::atomic<int64_t> ewma_service_ns_{0};
-
-  std::shared_ptr<const State> LoadState() const;
-
-  // Published {index, cache} snapshot. Guarded by its own mutex rather
-  // than std::atomic<shared_ptr>: the critical section is a pointer
-  // copy, and libstdc++ 12's _Sp_atomic unlocks its spinlock with
-  // relaxed ordering, which TSan (correctly, per the memory model)
-  // reports as a race between store() and load().
-  mutable std::mutex state_mu_;
-  std::shared_ptr<const State> state_;
-
-  std::mutex mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;
-  bool shutting_down_ = false;
-  bool paused_ = false;  // guarded by mu_; see SetPaused
-
-  // Held across the dispatcher join so concurrent Shutdown callers
-  // (e.g. explicit Shutdown racing the destructor) never join twice.
-  std::mutex shutdown_mu_;
-
-  std::thread dispatcher_;
+  // Published index snapshot. Guarded by its own mutex rather than
+  // std::atomic<shared_ptr>: the critical section is a pointer copy, and
+  // libstdc++ 12's _Sp_atomic unlocks its spinlock with relaxed ordering,
+  // which TSan (correctly, per the memory model) reports as a race
+  // between store() and load().
+  mutable std::mutex index_mu_;
+  std::shared_ptr<const ServingIndex> index_;
 };
 
-/// \brief Absolute steady-clock "now" in nanoseconds — the clock domain
-/// of Request::deadline_ns and Response::done_ns.
+/// \brief Absolute steady-clock "now" in nanoseconds, the clock
+/// serve.latency_us is measured on.
 int64_t SteadyNowNanos();
 
 }  // namespace serve

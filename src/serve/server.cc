@@ -35,19 +35,10 @@ std::string HandleServeLine(QueryEngine* engine, const std::string& line,
   }
   if (trimmed == "stats") {
     QueryEngineStats stats = engine->Stats();
-    char buffer[320];
+    char buffer[96];
     std::snprintf(buffer, sizeof(buffer),
-                  "OK stats requests=%llu batches=%llu cache_hits=%llu "
-                  "cache_misses=%llu shed=%llu deadline_expired=%llu "
-                  "deadline_shed=%llu brownout=%llu reloads=%llu",
+                  "OK stats requests=%llu reloads=%llu",
                   static_cast<unsigned long long>(stats.requests),
-                  static_cast<unsigned long long>(stats.batches),
-                  static_cast<unsigned long long>(stats.cache_hits),
-                  static_cast<unsigned long long>(stats.cache_misses),
-                  static_cast<unsigned long long>(stats.admission_rejected),
-                  static_cast<unsigned long long>(stats.deadline_expired),
-                  static_cast<unsigned long long>(stats.deadline_shed),
-                  static_cast<unsigned long long>(stats.brownouts),
                   static_cast<unsigned long long>(stats.index_reloads));
     return buffer;
   }
@@ -63,7 +54,7 @@ std::string HandleServeLine(QueryEngine* engine, const std::string& line,
   }
   auto request = ParseRequest(trimmed);
   if (!request.ok()) return FormatErrorLine(request.status());
-  return engine->SubmitAndWait(std::move(*request)).line;
+  return engine->Answer(*request).line;
 }
 
 #if defined(__unix__) || defined(__APPLE__)

@@ -282,6 +282,38 @@ TEST_F(CliPipelineTest, SolveRejectsOutOfRangeIndexTopM) {
   }
 }
 
+// `serve` checks its flags before it loads, binds or reads anything; the
+// timeout turns a server that binds anyway into a failure, not a hang.
+TEST_F(CliPipelineTest, ServeRejectsOutOfRangePort) {
+  SetUpPipeline();
+  for (const char* port : {"-1", "70000"}) {
+    std::string err;
+    EXPECT_EQ(RunCliStderr("timeout 30 " + CliPath() + " serve --graph=" +
+                               graph_ + " --k=20 --port=" + port +
+                               " < /dev/null",
+                           &err),
+              1)
+        << port;
+    EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
+    EXPECT_NE(err.find("--port"), std::string::npos) << err;
+  }
+}
+
+TEST_F(CliPipelineTest, ServeRejectsOutOfRangeTopM) {
+  SetUpPipeline();
+  for (const char* top_m : {"-1", "4294967296"}) {
+    std::string err;
+    EXPECT_EQ(RunCliStderr("timeout 30 " + CliPath() + " serve --graph=" +
+                               graph_ + " --k=20 --top_m=" + top_m +
+                               " < /dev/null",
+                           &err),
+              1)
+        << top_m;
+    EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
+    EXPECT_NE(err.find("--top_m"), std::string::npos) << err;
+  }
+}
+
 TEST_F(CliPipelineTest, SolveEmitsLoadableServingIndex) {
   SetUpPipeline();
   std::string index = TempPath("index.pcsidx");

@@ -1,13 +1,10 @@
-// QueryEngine: batching, caching, admission control, deadlines, hot
-// reload, and shutdown semantics.
+// QueryEngine: answers on the caller's thread match AnswerOnIndex, and
+// hot reload publishes the new index.
 
 #include "serve/query_engine.h"
 
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,129 +54,16 @@ TEST(QueryEngineTest, AnswersMatchAnswerOnIndex) {
   auto index = MakeIndex();
   QueryEngine engine(index);
   for (NodeId v = 0; v < index->NumNodes(); ++v) {
-    Response served = engine.SubmitAndWait(Covered(v));
+    Response served = engine.Answer(Covered(v));
     Response direct = AnswerOnIndex(*index, Covered(v));
     EXPECT_EQ(served.line, direct.line);
-    EXPECT_GT(served.done_ns, 0);
 
-    Response served_subs = engine.SubmitAndWait(Subs(v, 4));
+    Response served_subs = engine.Answer(Subs(v, 4));
     EXPECT_EQ(served_subs.line, AnswerOnIndex(*index, Subs(v, 4)).line);
   }
   // Out-of-catalog errors travel through the engine unchanged.
   const NodeId bad = static_cast<NodeId>(index->NumNodes());
-  EXPECT_TRUE(engine.SubmitAndWait(Covered(bad)).status.IsNotFound());
-}
-
-TEST(QueryEngineTest, PipelinedSubmissionsCoalesceIntoBatches) {
-  auto index = MakeIndex();
-  QueryEngineOptions options;
-  options.batch_limit = 64;
-  options.batch_window_us = 20000;  // generous: let the queue pile up
-  QueryEngine engine(index, options);
-
-  constexpr size_t kRequests = 200;
-  std::vector<std::future<Response>> futures;
-  futures.reserve(kRequests);
-  for (size_t i = 0; i < kRequests; ++i) {
-    futures.push_back(
-        engine.Submit(Covered(static_cast<NodeId>(i % index->NumNodes()))));
-  }
-  for (auto& f : futures) {
-    EXPECT_TRUE(f.get().status.ok());
-  }
-  QueryEngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.requests, kRequests);
-  // If every request rode its own batch, micro-batching is broken.
-  EXPECT_LT(stats.batches, kRequests);
-  EXPECT_GE(stats.batches, kRequests / options.batch_limit);
-}
-
-TEST(QueryEngineTest, SubsCacheHitsAreDeterministicWhenSequential) {
-  auto index = MakeIndex();
-  QueryEngine engine(index);  // dispatcher-only: deterministic cache path
-  // Pick a non-retained node so the subs line is non-trivial.
-  NodeId v = 0;
-  while (index->Retained(v)) ++v;
-
-  constexpr uint64_t kRepeats = 50;
-  std::string first;
-  for (uint64_t i = 0; i < kRepeats; ++i) {
-    Response response = engine.SubmitAndWait(Subs(v, 4));
-    ASSERT_TRUE(response.status.ok());
-    if (i == 0) {
-      first = response.line;
-    } else {
-      EXPECT_EQ(response.line, first);
-    }
-  }
-  QueryEngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, kRepeats - 1);
-}
-
-TEST(QueryEngineTest, ZeroCapacityDisablesTheCache) {
-  QueryEngineOptions options;
-  options.cache_capacity = 0;
-  QueryEngine engine(MakeIndex(), options);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(engine.SubmitAndWait(Subs(1, 4)).status.ok());
-  }
-  // With the cache disabled there is no cache traffic at all — neither
-  // hits nor misses are counted.
-  QueryEngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-}
-
-TEST(QueryEngineTest, ExpiredDeadlineIsCancelledNotServed) {
-  QueryEngine engine(MakeIndex());
-  Request request = Covered(0);
-  request.deadline_ns = SteadyNowNanos() - 1;  // already in the past
-  Response response = engine.SubmitAndWait(request);
-  EXPECT_TRUE(response.status.IsCancelled());
-  EXPECT_EQ(response.line.substr(0, 13), "ERR Cancelled");
-  // Deadline-aware admission (on by default) rejects it at the door;
-  // it never reaches the dispatcher's deadline_expired path (see
-  // degradation_test.cc for both paths in isolation).
-  EXPECT_GE(engine.Stats().deadline_shed, 1u);
-  EXPECT_EQ(engine.Stats().deadline_expired, 0u);
-
-  // A far-future deadline is honored normally.
-  request.deadline_ns = SteadyNowNanos() + 60'000'000'000;
-  EXPECT_TRUE(engine.SubmitAndWait(request).status.ok());
-}
-
-TEST(QueryEngineTest, FullQueueShedsWithOutOfRange) {
-  QueryEngineOptions options;
-  options.max_queue = 1;
-  options.batch_limit = 1;
-  options.batch_window_us = 0;
-  QueryEngine engine(MakeIndex(3, 200, 20), options);
-
-  // Large batch payloads keep the dispatcher busy long enough for the
-  // 1-deep queue to fill. Retry until shedding is observed — timing
-  // dependent, but each round makes it more likely, and a broken
-  // admission path never sheds at all.
-  Request heavy;
-  heavy.type = QueryType::kBatchCovered;
-  for (NodeId v = 0; v < 200; ++v) heavy.batch.push_back(v);
-
-  bool shed = false;
-  for (int round = 0; round < 200 && !shed; ++round) {
-    std::vector<std::future<Response>> futures;
-    for (int i = 0; i < 64; ++i) futures.push_back(engine.Submit(heavy));
-    for (auto& f : futures) {
-      Response response = f.get();
-      if (response.status.IsOutOfRange()) {
-        EXPECT_EQ(response.line.substr(0, 14), "ERR OutOfRange");
-        shed = true;
-      } else {
-        EXPECT_TRUE(response.status.ok()) << response.line;
-      }
-    }
-  }
-  EXPECT_TRUE(shed) << "queue of depth 1 never rejected under burst load";
-  EXPECT_GE(engine.Stats().admission_rejected, 1u);
+  EXPECT_TRUE(engine.Answer(Covered(bad)).status.IsNotFound());
 }
 
 TEST(QueryEngineTest, SwapIndexPublishesNewAnswersAndFreshCache) {
@@ -187,23 +71,19 @@ TEST(QueryEngineTest, SwapIndexPublishesNewAnswersAndFreshCache) {
   auto second = MakeIndex(99, 60, 12);
   QueryEngine engine(first);
 
-  // Warm the cache on the first index.
   NodeId v = 0;
   while (first->Retained(v)) ++v;
-  Response before = engine.SubmitAndWait(Subs(v, 4));
+  Response before = engine.Answer(Subs(v, 4));
   ASSERT_TRUE(before.status.ok());
-  EXPECT_EQ(engine.Stats().cache_misses, 1u);
 
   ASSERT_TRUE(engine.SwapIndex(second).ok());
   EXPECT_EQ(engine.index().get(), second.get());
   EXPECT_EQ(engine.Stats().index_reloads, 1u);
 
-  // Answers now come from the second index, and the cache restarted —
-  // a stale cached line from the old index must be unreachable.
-  Response after = engine.SubmitAndWait(Subs(v, 4));
+  // Answers now come from the second index.
+  Response after = engine.Answer(Subs(v, 4));
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.line, AnswerOnIndex(*second, Subs(v, 4)).line);
-  EXPECT_EQ(engine.Stats().cache_misses, 2u);
 }
 
 TEST(QueryEngineTest, SwapIndexRejectsNull) {
@@ -226,47 +106,7 @@ TEST(QueryEngineTest, ReloadSwapFailpointInjectsError) {
   EXPECT_NE(engine.index().get(), replacement.get());
   EXPECT_EQ(engine.Stats().index_reloads, 0u);
   // And the engine still serves.
-  EXPECT_TRUE(engine.SubmitAndWait(Covered(0)).status.ok());
-}
-
-TEST(QueryEngineTest, ShutdownAnswersEverythingThenRejects) {
-  auto index = MakeIndex();
-  QueryEngineOptions options;
-  options.batch_window_us = 5000;
-  auto engine = std::make_unique<QueryEngine>(index, options);
-
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(engine->Submit(Covered(static_cast<NodeId>(i % 10))));
-  }
-  engine->Shutdown();
-  for (auto& f : futures) {
-    Response response = f.get();
-    // Every future is ready: answered, or cancelled by the shutdown.
-    EXPECT_TRUE(response.status.ok() || response.status.IsCancelled())
-        << response.line;
-  }
-  // Post-shutdown submissions fail fast.
-  EXPECT_TRUE(engine->SubmitAndWait(Covered(0)).status.IsCancelled());
-  engine->Shutdown();  // idempotent
-  engine.reset();      // destructor after explicit Shutdown is safe
-}
-
-TEST(QueryEngineTest, ConcurrentShutdownIsSafe) {
-  // Regression: two callers racing into Shutdown (e.g. an explicit
-  // Shutdown racing the destructor) must not both join the dispatcher.
-  for (int round = 0; round < 20; ++round) {
-    QueryEngine engine(MakeIndex());
-    for (int i = 0; i < 8; ++i) {
-      (void)engine.Submit(Covered(static_cast<NodeId>(i)));
-    }
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 3; ++t) {
-      threads.emplace_back([&engine] { engine.Shutdown(); });
-    }
-    for (std::thread& thread : threads) thread.join();
-    // Destructor runs a fourth Shutdown.
-  }
+  EXPECT_TRUE(engine.Answer(Covered(0)).status.ok());
 }
 
 }  // namespace

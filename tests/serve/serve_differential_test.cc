@@ -8,11 +8,10 @@
 //               CoverOfItem and an independent sort/truncate of the
 //               substitute lists (no serve/ code involved);
 //   direct    — AnswerOnIndex on the built ServingIndex;
-//   engine    — the full QueryEngine path (queue, batch, cache).
+//   engine    — QueryEngine::Answer on the engine's index snapshot.
 //
 // Any divergence — a reordered substitute, a probability formatted from a
-// rounded value, a cache serving a stale line — fails with the exact
-// request that differed.
+// rounded value — fails with the exact request that differed.
 
 #include <algorithm>
 #include <memory>
@@ -137,12 +136,11 @@ TEST(ServeDifferentialTest, EveryAnswerMatchesDirectLookup) {
               ExpectedCoveredLine(in, v, variant);
           EXPECT_EQ(AnswerOnIndex(*index, request).line, expected)
               << "covered " << v << " (direct)";
-          EXPECT_EQ(engine.SubmitAndWait(request).line, expected)
+          EXPECT_EQ(engine.Answer(request).line, expected)
               << "covered " << v << " (engine)";
         }
-        // subs at several j — issued twice through the engine so the
-        // second pass exercises the cache path, which must be
-        // byte-identical too.
+        // subs at several j — issued twice through the engine; a
+        // repeated request must get the same bytes.
         for (uint32_t top_j : top_js) {
           Request request;
           request.type = QueryType::kSubstitutes;
@@ -151,9 +149,9 @@ TEST(ServeDifferentialTest, EveryAnswerMatchesDirectLookup) {
           const std::string expected = ExpectedSubsLine(in, v, top_j);
           EXPECT_EQ(AnswerOnIndex(*index, request).line, expected)
               << "subs " << v << " " << top_j << " (direct)";
-          EXPECT_EQ(engine.SubmitAndWait(request).line, expected)
+          EXPECT_EQ(engine.Answer(request).line, expected)
               << "subs " << v << " " << top_j << " (engine, cold)";
-          EXPECT_EQ(engine.SubmitAndWait(request).line, expected)
+          EXPECT_EQ(engine.Answer(request).line, expected)
               << "subs " << v << " " << top_j << " (engine, cached)";
         }
       }
@@ -169,7 +167,7 @@ TEST(ServeDifferentialTest, EveryAnswerMatchesDirectLookup) {
         const std::string expected =
             "OK coverk " + FormatProbability(expected_value);
         EXPECT_EQ(AnswerOnIndex(*index, request).line, expected);
-        EXPECT_EQ(engine.SubmitAndWait(request).line, expected);
+        EXPECT_EQ(engine.Answer(request).line, expected);
       }
 
       // batch: bits agree with per-node covered answers.
@@ -183,7 +181,7 @@ TEST(ServeDifferentialTest, EveryAnswerMatchesDirectLookup) {
       const std::string expected_batch =
           "OK batch " + std::to_string(batch.batch.size()) + " " + bits;
       EXPECT_EQ(AnswerOnIndex(*index, batch).line, expected_batch);
-      EXPECT_EQ(engine.SubmitAndWait(batch).line, expected_batch);
+      EXPECT_EQ(engine.Answer(batch).line, expected_batch);
     }
   }
 }

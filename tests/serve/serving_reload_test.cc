@@ -1,8 +1,8 @@
 // Hot-reload integration: a live catalog drifts, the InventoryMaintainer
 // re-solves, a new ServingIndex is built from the maintained set and
 // atomically swapped into a QueryEngine while reader threads keep
-// querying. Run under TSan in CI — the RCU swap and the per-snapshot
-// cache must be race-free.
+// querying. Run under TSan in CI — the snapshot swap must be race-free
+// against readers answering on their own threads.
 
 #include <atomic>
 #include <chrono>
@@ -107,7 +107,7 @@ TEST(ServingReloadTest, MaintainerDrivenReloadUnderConcurrentReaders) {
           request.coverage_k = 0;  // valid on every index size
           break;
       }
-      Response response = engine.SubmitAndWait(request);
+      Response response = engine.Answer(request);
       // The catalog only shrinks below the initial size transiently; an
       // id can be NotFound on a newer, smaller index — that's a correct
       // answer, not a tear.

@@ -2,8 +2,8 @@
 // bounded memory under over-long lines) and the per-connection serve
 // loop driven over a socketpair with adversarial framing — partial
 // reads, pathologically split writes, oversized lines, interleaved
-// control verbs. The loop must neither crash nor hang, and every line
-// must get a well-formed reply.
+// control verbs, concurrent sessions on one engine. The loop must neither
+// crash nor hang, and every line must get a well-formed reply.
 
 #include "serve/transport.h"
 
@@ -22,6 +22,7 @@
 
 #include "core/greedy_solver.h"
 #include "graph/graph_generators.h"
+#include "obs/exposition.h"
 #include "serve/protocol.h"
 #include "serve/query_engine.h"
 #include "serve/server.h"
@@ -319,6 +320,78 @@ TEST(ServeConnectionLoopTest, ShutdownVerbStopsAccepting) {
   server.join();
   EXPECT_FALSE(keep_serving);
   ::close(fds[1]);
+}
+
+// Three sessions answer pipelined mixed traffic on their own threads
+// against one engine: every reply matches the single-threaded reference,
+// in order, and both request counters see every line exactly once.
+TEST(ServeConnectionLoopTest, ConcurrentSessionsAnswerInOrderAndCount) {
+  auto index = MakeIndex();
+  QueryEngine engine(index);
+  constexpr size_t kSessions = 3;
+  constexpr size_t kLinesPerSession = 400;
+  const uint64_t n = index->NumNodes();
+
+  bool quit = false;
+  double requests_before = 0.0;
+  ASSERT_TRUE(obs::FindPrometheusValue(
+      HandleServeLine(&engine, "metrics", &quit), "serve_requests",
+      &requests_before));
+
+  std::vector<std::string> requests(kSessions);
+  std::vector<std::string> expected(kSessions);
+  for (size_t s = 0; s < kSessions; ++s) {
+    Rng rng(700 + s);
+    for (size_t i = 0; i < kLinesPerSession; ++i) {
+      std::string line;
+      switch (rng.NextBounded(5)) {
+        case 0:
+          line = "subs " + std::to_string(rng.NextBounded(n)) + " " +
+                 std::to_string(1 + rng.NextBounded(6));
+          break;
+        case 1:
+          line = "covered " + std::to_string(rng.NextBounded(n));
+          break;
+        case 2:
+          line = "coverk " + std::to_string(rng.NextBounded(13));
+          break;
+        case 3:
+          line = "batch " + std::to_string(rng.NextBounded(n)) + " " +
+                 std::to_string(rng.NextBounded(n));
+          break;
+        default:
+          line = "subs " + std::to_string(n + rng.NextBounded(n)) + " 4";
+          break;
+      }
+      auto request = ParseRequest(line);
+      expected[s] += (request.ok() ? AnswerOnIndex(*index, *request).line
+                                   : FormatErrorLine(request.status())) +
+                     "\n";
+      requests[s] += line + "\n";
+    }
+  }
+
+  std::vector<std::string> received(kSessions);
+  std::vector<std::thread> clients;
+  for (size_t s = 0; s < kSessions; ++s) {
+    clients.emplace_back([&engine, &requests, &received, s] {
+      received[s] = RoundTrip(&engine, {requests[s]});
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (size_t s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(received[s], expected[s]) << "session " << s;
+  }
+
+  const uint64_t total = kSessions * kLinesPerSession;
+  EXPECT_EQ(HandleServeLine(&engine, "stats", &quit),
+            "OK stats requests=" + std::to_string(total) + " reloads=0");
+  double requests_after = 0.0;
+  ASSERT_TRUE(obs::FindPrometheusValue(
+      HandleServeLine(&engine, "metrics", &quit), "serve_requests",
+      &requests_after));
+  EXPECT_EQ(requests_after - requests_before, static_cast<double>(total));
+  EXPECT_FALSE(quit);
 }
 
 // --- MultiplexedConnection ------------------------------------------------

@@ -89,6 +89,9 @@ int Fail(const Status& status) {
 // from 1 (error) and 2 (usage) so the partial result is recognizable.
 constexpr int kExitSignalTruncated = 3;
 
+// Upper bound of the flags that narrow to uint32_t.
+constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+
 // Uninstalls the process signal->CancelToken hook when the command
 // returns, so the token (a stack local) never dangles behind the handler.
 struct ScopedSignalCancel {
@@ -489,7 +492,6 @@ int CmdSolve(int argc, char** argv) {
     cancel.SetTimeout(static_cast<double>(deadline_ms) / 1000.0);
   }
   // Flags that narrow to unsigned types: reject what would wrap.
-  constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
   if (flags.GetInt("threads") < 0) {
     return Fail(Status::InvalidArgument("--threads must be >= 0"));
   }
@@ -921,21 +923,6 @@ int CmdServe(int argc, char** argv) {
   flags.AddInt("k", 0, "items to retain for --graph");
   flags.AddString("variant", "auto", "independent|normalized|auto");
   flags.AddInt("top_m", 8, "substitutes per node for --graph");
-  flags.AddInt("batch", 64, "max requests answered per batch");
-  flags.AddInt("batch_window_us", 100,
-               "batch fill window in microseconds (0 = no wait)");
-  flags.AddInt("cache_capacity", 65536,
-               "response cache entries; 0 disables caching");
-  flags.AddInt("max_queue", 8192,
-               "queued-request bound; excess requests are shed");
-  flags.AddInt("deadline_us", 0,
-               "per-request deadline in microseconds; 0 = none");
-  flags.AddInt("brownout_watermark", 0,
-               "post-batch queue backlog at which the engine serves "
-               "degraded (top-1, uncached) answers; 0 = off");
-  flags.AddInt("threads", 0,
-               "worker pool threads for intra-batch fan-out; 0 = the "
-               "dispatcher answers batches itself");
   flags.AddInt("port", 0, "TCP port to listen on; 0 = read stdin");
   flags.AddDouble("stats_every_s", 0.0,
                   "print a live qps / p99 line to stderr at this interval "
@@ -944,6 +931,15 @@ int CmdServe(int argc, char** argv) {
                   "write the final metrics snapshot JSON here on clean "
                   "shutdown (same document as solve --metrics_out)");
   if (int rc = ParseOrExit(&flags, argc, argv); rc != 0) return rc == 2 ? 0 : 1;
+  const int64_t port = flags.GetInt("port");
+  if (port < 0 || port > 65535) {
+    return Fail(Status::InvalidArgument("--port must be in [0, 65535]"));
+  }
+  const int64_t top_m = flags.GetInt("top_m");
+  if (top_m < 0 || top_m > kMaxU32) {
+    return Fail(Status::InvalidArgument(
+        "--top_m must be in [0, " + std::to_string(kMaxU32) + "]"));
+  }
 
   std::shared_ptr<const serve::ServingIndex> index;
   if (!flags.GetString("index").empty()) {
@@ -966,7 +962,7 @@ int CmdServe(int argc, char** argv) {
     auto solution = SolveGreedyLazy(*graph, k, greedy_options);
     if (!solution.ok()) return Fail(solution.status());
     serve::ServingIndexOptions index_options;
-    index_options.top_m = static_cast<size_t>(flags.GetInt("top_m"));
+    index_options.top_m = static_cast<size_t>(top_m);
     auto built = serve::ServingIndex::Build(*graph, *solution,
                                             index_options);
     if (!built.ok()) return Fail(built.status());
@@ -977,28 +973,12 @@ int CmdServe(int argc, char** argv) {
         Status::InvalidArgument("serve needs --index or --graph"));
   }
 
-  serve::QueryEngineOptions engine_options;
-  engine_options.batch_limit = static_cast<size_t>(flags.GetInt("batch"));
-  engine_options.batch_window_us = flags.GetInt("batch_window_us");
-  engine_options.cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache_capacity"));
-  engine_options.max_queue =
-      static_cast<size_t>(flags.GetInt("max_queue"));
-  engine_options.default_deadline_us = flags.GetInt("deadline_us");
-  engine_options.brownout_watermark =
-      static_cast<size_t>(flags.GetInt("brownout_watermark"));
-  std::unique_ptr<ThreadPool> pool;
-  if (flags.GetInt("threads") > 0) {
-    pool = std::make_unique<ThreadPool>(
-        static_cast<size_t>(flags.GetInt("threads")));
-    engine_options.pool = pool.get();
-  }
   std::fprintf(stderr,
                "serving %zu nodes (%zu retained, %s variant, top_m=%zu)\n",
                index->NumNodes(), index->NumRetained(),
                std::string(VariantName(index->variant())).c_str(),
                index->top_m());
-  serve::QueryEngine engine(std::move(index), engine_options);
+  serve::QueryEngine engine(std::move(index));
 
   // Live stats line: one background sampler drives both the ring (for the
   // final --metrics_out snapshot) and the periodic stderr report.
@@ -1023,13 +1003,10 @@ int CmdServe(int argc, char** argv) {
         }
         break;
       }
-      std::fprintf(stderr,
-                   "[stats] requests=%llu qps=%.1f p99_us=%.0f shed=%llu\n",
+      std::fprintf(stderr, "[stats] requests=%llu qps=%.1f p99_us=%.0f\n",
                    static_cast<unsigned long long>(
                        current.snapshot.CounterOr("serve.requests")),
-                   qps, p99_us,
-                   static_cast<unsigned long long>(current.snapshot.CounterOr(
-                       "serve.admission_rejected")));
+                   qps, p99_us);
     };
     sampler = std::make_unique<obs::MetricsSampler>(
         &obs::MetricsRegistry::Global(), sampler_options);
@@ -1054,7 +1031,6 @@ int CmdServe(int argc, char** argv) {
     return 0;
   };
 
-  const int64_t port = flags.GetInt("port");
   if (port == 0) {
     std::string line;
     bool quit = false;
@@ -1078,10 +1054,9 @@ int CmdServe(int argc, char** argv) {
                static_cast<unsigned>(*bound));
   // One session thread per connection: resilient clients hold their
   // connection for many requests, so a serial accept loop would let one
-  // client starve the rest. Request concurrency still lives in the
-  // engine (Submit is thread-safe); the threads only pump sockets.
-  // AcceptClient rides out EINTR and transient (ECONNABORTED-class)
-  // failures internally.
+  // client starve the rest. Each session thread answers its own lines
+  // (QueryEngine::Answer is thread-safe). AcceptClient rides out EINTR
+  // and transient (ECONNABORTED-class) failures internally.
   const int listener_fd = *listener;
   std::atomic<bool> stop{false};
   std::atomic<int> active_sessions{0};

@@ -1,22 +1,20 @@
 // Load generator for the serving layer.
 //
 // Drives an in-process QueryEngine with a Zipf-distributed query stream at
-// a target QPS (or open throttle) and reports achieved throughput,
-// p50/p95/p99 latency and cache hit-rate. Latency is measured as
-// Response.done_ns - submit_ns, both stamps taken on the engine's steady
-// clock, so the numbers are exact per-request service+queue times and do
-// not race the future hand-off.
+// a target QPS (or open throttle) and reports achieved throughput and
+// p50/p95/p99 latency. Requests are answered one at a time by
+// QueryEngine::Answer on this thread; latency is the caller's
+// steady-clock time across the call.
 //
 // The traffic mix mirrors production lookups: mostly `subs` (the
 // render-a-substitute path), some `covered` probes, an occasional
 // `coverk` planning query. Item popularity follows Zipf(s) over the
-// catalog, the regime in which the engine's LRU cache is designed to pay
-// off.
+// catalog.
 //
 // Exit status: 0 on success; 1 when any SLO assertion fails
-// (--p99_budget_us, --min_qps, --min_hit_rate) or when any protocol error
-// (a response that is neither OK, deadline-cancelled, nor load-shed)
-// occurs — a valid generated stream must never produce one.
+// (--p99_budget_us, --min_qps) or when any protocol error (a response
+// that is not OK) occurs — a valid generated stream must never produce
+// one.
 //
 // TCP mode: --connect=host:port drives a live `prefcover serve --port`
 // process through the ResilientClient (timeouts, retry/backoff,
@@ -33,7 +31,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -54,7 +51,6 @@
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -66,7 +62,6 @@ using prefcover::Status;
 using prefcover::StatusCode;
 using prefcover::ZipfDistribution;
 using prefcover::serve::QueryEngine;
-using prefcover::serve::QueryEngineOptions;
 using prefcover::serve::QueryType;
 using prefcover::serve::Request;
 using prefcover::serve::Response;
@@ -74,27 +69,15 @@ using prefcover::serve::ServingIndex;
 using prefcover::serve::SteadyNowNanos;
 namespace obs = prefcover::obs;
 
-struct InFlight {
-  std::future<Response> future;
-  int64_t submit_ns = 0;
-};
-
 struct Tally {
   uint64_t ok = 0;
-  uint64_t deadline_cancelled = 0;
-  uint64_t shed = 0;
   uint64_t protocol_errors = 0;
   QuantileSketch latency_us;
 
-  void Absorb(const Response& response, int64_t submit_ns) {
+  void Absorb(const Response& response, double elapsed_us) {
     if (response.status.ok()) {
       ++ok;
-      latency_us.Add(
-          static_cast<double>(response.done_ns - submit_ns) / 1000.0);
-    } else if (response.status.IsCancelled()) {
-      ++deadline_cancelled;
-    } else if (response.status.code() == StatusCode::kOutOfRange) {
-      ++shed;
+      latency_us.Add(elapsed_us);
     } else {
       if (protocol_errors < 5) {
         std::fprintf(stderr, "protocol error: %s\n",
@@ -291,7 +274,7 @@ int RunTcpLoadgen(const FlagParser& flags) {
 int main(int argc, char** argv) {
   FlagParser flags(
       "Replays a Zipf-distributed query stream against a ServingIndex "
-      "and reports p50/p95/p99 latency, throughput and cache hit-rate.");
+      "and reports p50/p95/p99 latency and throughput.");
   flags.AddString("index", "",
                   "PCSIDX01 index file to serve (or --synth_tier)")
       .AddString("synth_tier", "",
@@ -307,18 +290,9 @@ int main(int argc, char** argv) {
       .AddDouble("subs_frac", 0.80, "fraction of subs queries")
       .AddDouble("covered_frac", 0.15,
                  "fraction of covered queries (rest is coverk)")
-      .AddInt("batch", 64, "engine batch limit")
-      .AddInt("batch_window_us", 100, "engine batch fill window")
-      .AddInt("cache_capacity", 65536, "engine cache entries; 0 disables")
-      .AddInt("max_queue", 8192, "engine admission bound")
-      .AddInt("deadline_us", 0, "per-request deadline; 0 = none")
-      .AddInt("threads", 0, "worker pool threads; 0 = dispatcher only")
-      .AddInt("outstanding", 1024, "max in-flight requests")
       .AddInt("seed", 7, "traffic stream seed")
       .AddInt("p99_budget_us", 0, "fail if p99 exceeds this; 0 = off")
       .AddInt("min_qps", 0, "fail if achieved qps is below this")
-      .AddDouble("min_hit_rate", 0.0,
-                 "fail if cache hit-rate is below this")
       .AddInt("metrics_poll_ms", 0,
               "scrape the live Prometheus exposition at this interval "
               "during the run and assert the scraped series (0 = off)")
@@ -408,20 +382,7 @@ int main(int argc, char** argv) {
                        " retained, top_m=%zu\n",
                n, num_retained, index->top_m());
 
-  QueryEngineOptions options;
-  options.batch_limit = static_cast<size_t>(flags.GetInt("batch"));
-  options.batch_window_us = flags.GetInt("batch_window_us");
-  options.cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache_capacity"));
-  options.max_queue = static_cast<size_t>(flags.GetInt("max_queue"));
-  options.default_deadline_us = flags.GetInt("deadline_us");
-  std::unique_ptr<prefcover::ThreadPool> pool;
-  if (flags.GetInt("threads") > 0) {
-    pool = std::make_unique<prefcover::ThreadPool>(
-        static_cast<size_t>(flags.GetInt("threads")));
-    options.pool = pool.get();
-  }
-  QueryEngine engine(index, options);
+  QueryEngine engine(index);
 
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed")));
   ZipfDistribution zipf(n, flags.GetDouble("zipf_s"));
@@ -434,8 +395,6 @@ int main(int argc, char** argv) {
   const int64_t target_qps = flags.GetInt("qps");
   const int64_t interarrival_ns =
       target_qps > 0 ? 1000000000 / target_qps : 0;
-  const size_t max_outstanding =
-      static_cast<size_t>(flags.GetInt("outstanding"));
 
   // Live scraping: a background sampler snapshots the global registry on
   // the poll interval and each sample goes through the full exposition
@@ -472,7 +431,6 @@ int main(int argc, char** argv) {
 
   Tally tally;
   tally.latency_us.Reserve(1 << 20);
-  std::deque<InFlight> in_flight;
   uint64_t submitted = 0;
 
   const int64_t start_ns = SteadyNowNanos();
@@ -503,20 +461,11 @@ int main(int argc, char** argv) {
       request.coverage_k = rng.NextBounded(num_retained + 1);
     }
 
-    InFlight entry;
-    entry.submit_ns = SteadyNowNanos();
-    entry.future = engine.Submit(std::move(request));
-    in_flight.push_back(std::move(entry));
+    const int64_t sent_ns = SteadyNowNanos();
+    Response response = engine.Answer(request);
+    tally.Absorb(response,
+                 static_cast<double>(SteadyNowNanos() - sent_ns) / 1000.0);
     ++submitted;
-
-    while (in_flight.size() >= max_outstanding) {
-      InFlight done = std::move(in_flight.front());
-      in_flight.pop_front();
-      tally.Absorb(done.future.get(), done.submit_ns);
-    }
-  }
-  for (InFlight& entry : in_flight) {
-    tally.Absorb(entry.future.get(), entry.submit_ns);
   }
   const int64_t end_ns = SteadyNowNanos();
   // Stop takes a final sample, so the scraped series always covers the
@@ -526,13 +475,6 @@ int main(int argc, char** argv) {
   const double elapsed_s = static_cast<double>(end_ns - start_ns) / 1e9;
   const double achieved_qps =
       elapsed_s > 0 ? static_cast<double>(tally.ok) / elapsed_s : 0.0;
-  const auto stats = engine.Stats();
-  const uint64_t lookups = stats.cache_hits + stats.cache_misses;
-  const double hit_rate =
-      lookups > 0
-          ? static_cast<double>(stats.cache_hits) /
-                static_cast<double>(lookups)
-          : 0.0;
   const double p50 = tally.latency_us.Quantile(0.50);
   const double p95 = tally.latency_us.Quantile(0.95);
   const double p99 = tally.latency_us.Quantile(0.99);
@@ -566,15 +508,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("{\"submitted\": %" PRIu64 ", \"ok\": %" PRIu64
-              ", \"deadline_cancelled\": %" PRIu64 ", \"shed\": %" PRIu64
               ", \"protocol_errors\": %" PRIu64
               ", \"elapsed_s\": %.3f, \"qps\": %.0f"
-              ", \"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f"
-              ", \"batches\": %" PRIu64
-              ", \"cache_hit_rate\": %.4f%s}\n",
-              submitted, tally.ok, tally.deadline_cancelled, tally.shed,
-              tally.protocol_errors, elapsed_s, achieved_qps, p50, p95,
-              p99, stats.batches, hit_rate, live_fields);
+              ", \"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f%s}\n",
+              submitted, tally.ok, tally.protocol_errors, elapsed_s,
+              achieved_qps, p50, p95, p99, live_fields);
 
   bool failed = false;
   if (tally.protocol_errors > 0) {
@@ -593,12 +531,6 @@ int main(int argc, char** argv) {
       achieved_qps < static_cast<double>(flags.GetInt("min_qps"))) {
     std::fprintf(stderr, "FAIL: qps %.0f below floor %" PRId64 "\n",
                  achieved_qps, flags.GetInt("min_qps"));
-    failed = true;
-  }
-  if (flags.GetDouble("min_hit_rate") > 0.0 &&
-      hit_rate < flags.GetDouble("min_hit_rate")) {
-    std::fprintf(stderr, "FAIL: cache hit-rate %.4f below floor %.4f\n",
-                 hit_rate, flags.GetDouble("min_hit_rate"));
     failed = true;
   }
   if (sampler != nullptr) {
