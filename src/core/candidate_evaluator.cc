@@ -83,9 +83,7 @@ CelfShardEngine::CelfShardEngine(const CoverState* state,
       excluded_(excluded),
       shard_end_(std::min(config.shard_end, state->graph().NumNodes())),
       costs_(config.costs),
-      seed_order_(config.seed_order.empty()
-                      ? state->graph().NodesByStaticGainBound()
-                      : config.seed_order),
+      min_cost_(costs_.empty() ? 1.0 : std::ranges::min(costs_)),
       filter_(config.filter) {
   shard_begin_ = std::min(config.shard_begin, shard_end_);
   const size_t cap = config.seed_heap_capacity > 0
@@ -101,13 +99,13 @@ void CelfShardEngine::Reseed() {
   if (shard_begin_ == shard_end_) {
     // An empty shard has nothing to seed (and nothing to walk for).
   } else if (state_->simd_level() != SimdLevel::kScalar) {
-    const std::span<const double> bounds =
-        state_->graph().StaticGainBounds();
+    const PreferenceGraph& graph = state_->graph();
+    const std::span<const double> bounds = graph.StaticGainBounds();
     const Bitset& retained = state_->retained();
-    for (const NodeId v : seed_order_) {
+    for (const NodeId v : graph.NodesByStaticGainBound()) {
       // Strict: a bound that ties the cut can still hide a key that ties
       // it with a smaller id, which would outrank it in pair order.
-      if (Key(v, bounds[v]) < keeper.cut()) break;
+      if (bounds[v] / min_cost_ < keeper.cut()) break;
       if (v < shard_begin_ || v >= shard_end_) continue;
       if (retained.Test(v) || excluded_->Test(v) || !Admissible(v)) continue;
       ++counters_.gain_evaluations;

@@ -6,8 +6,8 @@
 //     computes every candidate's exact gain, in chunks on an optional
 //     pool;
 //   - the CELF evaluator (SolveGreedyLazy / SolveGreedyLazyParallel): N
-//     CelfShardEngines over contiguous shards, one pool dispatch per
-//     round;
+//     CelfShardEngines over contiguous shards, seeded in one pool
+//     dispatch, every round after that on the calling thread;
 //   - the constrained evaluator (SolveConstrainedCover): one
 //     CelfShardEngine keyed by gain/cost with an admissibility filter;
 //   - DistributedCandidateEvaluator (src/dist/distributed_solver.h): the
@@ -244,14 +244,15 @@ size_t ShardSeedCapacity(size_t seed_heap_capacity, size_t shards);
 /// the engine only advances its round (stored keys become stale upper
 /// bounds) and recycles the held proposal.
 ///
-/// Seeding. Kernel tiers walk `seed_order` (descending bound(v)/cost(v))
-/// evaluating exact keys and stop once every remaining bound is below the
-/// running cut — Gain(v) <= bound(v) against any retained set, so the
-/// early exit is exact. The scalar tier is the literal reference: one
-/// batch gain sweep over the shard. Both keep the exact top
-/// `seed_heap_capacity` candidates by (key, id), so every tier selects
-/// identical node sequences; the seed is truncated when it visited more
-/// candidates than it kept.
+/// Seeding. Kernel tiers walk the graph's static-bound order evaluating
+/// exact keys and stop once bound(v) / c_min is below the running cut,
+/// where c_min is the smallest cost (1 at unit costs). Against any
+/// retained set key(v) <= bound(v) / cost(v) <= bound(v) / c_min, and the
+/// walk descends by bound, so the early exit is exact. The scalar tier is
+/// the literal reference: one batch gain sweep over the shard. Both keep
+/// the exact top `seed_heap_capacity` candidates by (key, id), so every
+/// tier selects identical node sequences; the seed is truncated when it
+/// visited more candidates than it kept.
 class CelfShardEngine {
  public:
   struct Config {
@@ -263,9 +264,6 @@ class CelfShardEngine {
     size_t seed_heap_capacity = 0;
     /// Per-node costs; empty = unit costs. The heap key is gain / cost.
     std::span<const double> costs;
-    /// The bounded seed's walk order, which must be descending by
-    /// bound(v) / cost(v); empty = the graph's static-bound order.
-    std::span<const NodeId> seed_order;
     /// Extra admissibility test; nullptr = none.
     const CandidateFilter* filter = nullptr;
   };
@@ -302,7 +300,7 @@ class CelfShardEngine {
   size_t shard_end_;
   size_t seed_cap_;
   std::span<const double> costs_;
-  std::span<const NodeId> seed_order_;
+  double min_cost_;  // c_min: the smallest cost, 1 at unit costs
   const CandidateFilter* filter_;
 
   CelfSeededHeap seeded_;

@@ -38,25 +38,6 @@ std::vector<std::vector<NodeId>> CategoryMembers(const ConstraintSpec& spec,
   return members;
 }
 
-// The engine's seed walk order: descending bound(v)/cost(v), ties by id.
-// Empty with unit costs, where the engine walks the graph's precomputed
-// static-bound order — the hot unconstrained path pays no per-solve sort.
-std::vector<NodeId> RatioOrder(const PreferenceGraph& graph,
-                               const ConstraintSpec& spec) {
-  std::vector<NodeId> order;
-  if (spec.UnitCosts()) return order;
-  const std::span<const double> bounds = graph.StaticGainBounds();
-  const std::span<const NodeId> by_bound = graph.NodesByStaticGainBound();
-  order.assign(by_bound.begin(), by_bound.end());
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    const double ra = bounds[a] / spec.costs[a];
-    const double rb = bounds[b] / spec.costs[b];
-    if (ra != rb) return ra > rb;
-    return a < b;
-  });
-  return order;
-}
-
 // The constrained solve as an evaluator of the greedy round loop. While any
 // category is below its minimum, each round is the quota fill: the best
 // gain/cost ratio among members of still-deficient categories that are
@@ -79,7 +60,6 @@ class ConstrainedEvaluator final : public CandidateEvaluator,
       : state_(context.state),
         spec_(spec),
         members_(CategoryMembers(spec, context.graph->NumNodes())),
-        order_(RatioOrder(*context.graph, spec)),
         remaining_(spec.HasBudget()
                        ? spec.budget
                        : std::numeric_limits<double>::infinity()),
@@ -164,7 +144,6 @@ class ConstrainedEvaluator final : public CandidateEvaluator,
     CelfShardEngine::Config config;
     config.shard_end = context.graph->NumNodes();
     config.costs = spec_.costs;
-    config.seed_order = order_;
     // Without a budget or quotas every candidate is admissible.
     if (spec_.HasBudget() || spec_.HasQuotas()) config.filter = this;
     return config;
@@ -227,7 +206,6 @@ class ConstrainedEvaluator final : public CandidateEvaluator,
   const CoverState* state_;
   const ConstraintSpec& spec_;
   const std::vector<std::vector<NodeId>> members_;
-  const std::vector<NodeId> order_;  // engine_'s seed walk, so declared first
   double remaining_;
 
   // Quota accounting, indexed by category (empty without quotas).

@@ -21,13 +21,13 @@
 //
 // Gains are non-increasing as S grows and costs are fixed positives, so
 // ratios are non-increasing too and the lazy argument carries over. The
-// engine's kernel-tier seed walks the static gain-bound order by
-// descending bound(v)/cost(v) — Gain(v) <= bound(v) against any retained
-// set and costs are positive, so bound(v)/cost(v) upper-bounds the ratio
-// and the walk early-exits exactly like the unconstrained one; the
-// scalar tier sweeps every candidate and keeps the same exact top set.
-// Solutions are therefore byte-identical across scalar/word/avx2, and
-// with unit costs
+// engine's kernel-tier seed walks the graph's static gain-bound order, as
+// the unconstrained one does, and stops once bound(v)/c_min is below the
+// running cut, c_min being the smallest cost: Gain(v) <= bound(v) against
+// any retained set, so bound(v)/c_min upper-bounds the ratio of v and of
+// every node after it, and no per-solve sort is needed. The scalar tier
+// sweeps every candidate and keeps the same exact top set. Solutions are
+// therefore byte-identical across scalar/word/avx2, and with unit costs
 // and no constraints the selection reduces bitwise to SolveGreedy's
 // (gain/1.0 is the gain, ties break to the smaller id in both).
 //

@@ -365,9 +365,11 @@ class ScanEvaluator final : public CandidateEvaluator {
 
 // The lazy executions: one CelfShardEngine per contiguous shard — one
 // shard without a pool (SolveGreedyLazy), one per pool thread otherwise
-// (SolveGreedyLazyParallel). Each round proposes every shard's exact
-// argmax in one pool dispatch and merges them with BetterProposal, the
-// same merge the distributed coordinator runs over worker processes.
+// (SolveGreedyLazyParallel). The first round seeds every shard in one
+// pool dispatch, the only work large enough to pay for one; every round
+// then proposes each shard's exact argmax on the calling thread, in shard
+// order, and merges them with BetterProposal, the same merge the
+// distributed coordinator runs over worker processes.
 class CelfEvaluator final : public CandidateEvaluator {
  public:
   CelfEvaluator(const EvaluatorContext& context, ThreadPool* pool)
@@ -383,17 +385,22 @@ class CelfEvaluator final : public CandidateEvaluator {
       config.shard_end = n * (j + 1) / shards;
       engines_.emplace_back(context.state, context.excluded, config);
     }
-    proposals_.resize(shards);
   }
 
   Result<CandidateProposal> BestCandidate() override {
-    if (engines_.size() == 1) return engines_[0].Propose();
-    ParallelFor(pool_, 0, engines_.size(),
-                [this](size_t j) { proposals_[j] = engines_[j].Propose(); });
-    ++counters_.parallel_batches;
-    counters_.parallel_items += engines_.size();
+    if (!seeded_) {
+      // A shard's first Propose builds its seed heap.
+      seeded_ = true;
+      ParallelFor(pool_, 0, engines_.size(),
+                  [this](size_t j) { engines_[j].Propose(); });
+      if (pool_ != nullptr) {
+        ++counters_.parallel_batches;
+        counters_.parallel_items += engines_.size();
+      }
+    }
     CandidateProposal best;
-    for (const CandidateProposal& proposal : proposals_) {
+    for (CelfShardEngine& engine : engines_) {
+      const CandidateProposal proposal = engine.Propose();
       if (BetterProposal(proposal, best)) best = proposal;
     }
     return best;
@@ -417,7 +424,7 @@ class CelfEvaluator final : public CandidateEvaluator {
  private:
   ThreadPool* pool_;
   std::vector<CelfShardEngine> engines_;
-  std::vector<CandidateProposal> proposals_;
+  bool seeded_ = false;
   EvaluatorCounters counters_;
 };
 

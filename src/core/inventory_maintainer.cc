@@ -94,31 +94,24 @@ Result<size_t> InventoryMaintainer::RescoreOnCurrentGraph() {
 
 Status InventoryMaintainer::GreedyRefill() {
   PREFCOVER_ASSIGN_OR_RETURN(SnapshotBundle bundle, TakeSnapshot(*graph_));
-  CoverState state(&bundle.graph, options_.variant);
+  GreedyOptions greedy_options;
+  greedy_options.variant = options_.variant;
+  greedy_options.force_include.reserve(retained_.size());
   for (StableId id : retained_) {
     auto it = bundle.node_of_stable.find(id);
     if (it == bundle.node_of_stable.end()) {
       return Status::Internal("refill called with dead retained item");
     }
-    state.AddNode(it->second);
+    greedy_options.force_include.push_back(it->second);
   }
   size_t target = std::min(options_.k, bundle.graph.NumNodes());
-  while (state.NumRetained() < target) {
-    double best_gain = -1.0;
-    NodeId best = kInvalidNode;
-    for (NodeId v = 0; v < bundle.graph.NumNodes(); ++v) {
-      if (state.IsRetained(v)) continue;
-      double gain = state.GainOf(v);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = v;
-      }
-    }
-    if (best == kInvalidNode) break;
-    state.AddNode(best);
-    retained_.push_back(bundle.stable_of_node[best]);
+  PREFCOVER_ASSIGN_OR_RETURN(Solution solution,
+                             SolveGreedyLazy(bundle.graph, target,
+                                             greedy_options));
+  for (size_t i = retained_.size(); i < solution.items.size(); ++i) {
+    retained_.push_back(bundle.stable_of_node[solution.items[i]]);
   }
-  current_cover_ = state.cover();
+  current_cover_ = solution.cover;
   return Status::OK();
 }
 

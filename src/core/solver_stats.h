@@ -66,8 +66,9 @@ struct SolverStats {
   /// the seed.
   uint64_t seed_refills = 0;
 
-  /// Pool dispatches (one per round of a pooled execution) and the total
-  /// work items they carried (candidates scanned, or shards proposed).
+  /// Pool dispatches (one per round of a pooled scan, one per solve for
+  /// the shard seed of lazy-parallel) and the total work items they
+  /// carried (candidates scanned, or shards seeded).
   uint64_t parallel_batches = 0;
   uint64_t parallel_items = 0;
 

@@ -102,54 +102,4 @@ size_t ParallelArgMax(ThreadPool* pool, size_t n,
   return arg;
 }
 
-size_t ParallelArgMaxBatch(ThreadPool* pool,
-                           const std::vector<size_t>& candidates,
-                           const std::function<double(size_t)>& score,
-                           std::vector<double>* scores,
-                           double* best_score, const CancelToken* cancel) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  const size_t m = candidates.size();
-  if (scores != nullptr) scores->assign(m, kNegInf);
-
-  const size_t num_workers = pool == nullptr ? 1 : pool->num_threads();
-  const size_t num_slots = num_workers < m ? num_workers : (m > 0 ? m : 1);
-  std::vector<double> local_best(num_slots, kNegInf);
-  std::vector<size_t> local_arg(num_slots, m);
-
-  ParallelForChunked(pool, 0, m,
-                     [&](size_t lo, size_t hi, size_t worker) {
-                       double best = kNegInf;
-                       size_t arg = m;
-                       for (size_t j = lo; j < hi; ++j) {
-                         double s = score(candidates[j]);
-                         if (scores != nullptr) (*scores)[j] = s;
-                         // Candidates are in arbitrary order, so ties must
-                         // compare the candidate values themselves.
-                         if (s > best ||
-                             (s == best && arg != m &&
-                              candidates[j] < candidates[arg])) {
-                           best = s;
-                           arg = j;
-                         }
-                       }
-                       local_best[worker] = best;
-                       local_arg[worker] = arg;
-                     },
-                     cancel);
-
-  double best = kNegInf;
-  size_t arg = m;
-  for (size_t w = 0; w < num_slots; ++w) {
-    if (local_arg[w] == m) continue;
-    if (local_best[w] > best ||
-        (local_best[w] == best && arg != m &&
-         candidates[local_arg[w]] < candidates[arg])) {
-      best = local_best[w];
-      arg = local_arg[w];
-    }
-  }
-  if (best_score != nullptr) *best_score = best;
-  return arg;
-}
-
 }  // namespace prefcover

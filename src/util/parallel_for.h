@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <vector>
 
 #include "util/cancellation.h"
 #include "util/thread_pool.h"
@@ -56,26 +55,6 @@ size_t ParallelArgMax(ThreadPool* pool, size_t n,
                       const std::function<double(size_t)>& score,
                       double* best_score,
                       const CancelToken* cancel = nullptr);
-
-/// \brief Batched variant of ParallelArgMax over an explicit candidate
-/// list.
-///
-/// Evaluates `score(candidates[j])` for every j concurrently. If `scores`
-/// is non-null it is resized to `candidates.size()` and receives every
-/// evaluated score, so the caller can reinsert refreshed heap entries.
-///
-/// Returns the *position* j of the best candidate, or `candidates.size()`
-/// when the list is empty or every score is -infinity. Ties break toward
-/// the smaller candidate *value* (not position) — candidates may arrive in
-/// arbitrary (e.g. heap-pop) order, and the solvers' deterministic rule is
-/// "smaller node id wins", independent of evaluation order or thread
-/// count.
-size_t ParallelArgMaxBatch(ThreadPool* pool,
-                           const std::vector<size_t>& candidates,
-                           const std::function<double(size_t)>& score,
-                           std::vector<double>* scores,
-                           double* best_score,
-                           const CancelToken* cancel = nullptr);
 
 }  // namespace prefcover
 

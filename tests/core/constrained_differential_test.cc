@@ -7,7 +7,8 @@
 // at every supported SIMD level (scalar is the oracle).
 //
 // Instances stay at n <= 14 (2^14 subsets) with exactly-representable
-// quarter-step costs so budget feasibility carries no rounding noise.
+// quarter-step costs so budget feasibility carries no rounding noise; one
+// extra n = 20,000 instance checks (d) where the seed is truncated.
 
 #include <cstdint>
 #include <cstdlib>
@@ -231,6 +232,44 @@ TEST(ConstrainedDifferential, ByteIdenticalAcrossSimdLevels) {
         }
       }
     }
+  }
+}
+
+// The tiny instances above never truncate the 1024-entry seed, so they
+// cannot reach the kernel tiers' early exit under costs. Here n = 20,000
+// and costs from U[0.2, 1.2] make the cost-keyed walk stop early; an exit
+// that ignored the smallest cost would skip cheap candidates whose ratio
+// beats the cut and diverge from the scalar sweep.
+TEST(ConstrainedDifferential, TruncatedCostKeyedSeedByteIdenticalAtScale) {
+  Rng rng(2020);
+  UniformGraphParams params;
+  params.num_nodes = 20'000;
+  params.out_degree = 6;
+  params.popularity_skew = 0.9;
+  auto g = GenerateUniformGraph(params, &rng);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  ConstraintSpec spec;
+  spec.costs.resize(params.num_nodes);
+  for (double& c : spec.costs) c = rng.NextDouble(0.2, 1.2);
+  spec.budget = 200.0;
+
+  Result<ConstrainedSolution> reference = Status::Internal("unset");
+  {
+    ScopedSimdLevelEnv env("scalar");
+    reference = SolveConstrainedCover(*g, spec);
+  }
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(reference->solution.items.size(), 200u);
+  for (SimdLevel level : SupportedLevels()) {
+    if (level == SimdLevel::kScalar) continue;
+    const std::string name(SimdLevelName(level));
+    ScopedSimdLevelEnv env(name.c_str());
+    auto other = SolveConstrainedCover(*g, spec);
+    ASSERT_TRUE(other.ok()) << name << ": " << other.status().ToString();
+    EXPECT_EQ(reference->solution.items, other->solution.items) << name;
+    EXPECT_EQ(reference->solution.cover_after_prefix,
+              other->solution.cover_after_prefix)
+        << name;
   }
 }
 

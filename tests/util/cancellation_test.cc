@@ -166,19 +166,5 @@ TEST(ParallelForCancelTest, CancelledArgMaxSignalsEmptyResult) {
   EXPECT_EQ(arg, n);
 }
 
-TEST(ParallelForCancelTest, CancelledArgMaxBatchSignalsEmptyResult) {
-  ThreadPool pool(4);
-  CancelToken token;
-  token.Cancel();
-  std::vector<size_t> candidates(100);
-  for (size_t j = 0; j < candidates.size(); ++j) candidates[j] = j;
-  std::vector<double> scores;
-  double best = 0.0;
-  size_t pos = ParallelArgMaxBatch(
-      &pool, candidates, [](size_t i) { return static_cast<double>(i); },
-      &scores, &best, &token);
-  EXPECT_EQ(pos, candidates.size());
-}
-
 }  // namespace
 }  // namespace prefcover

@@ -228,92 +228,5 @@ TEST(ParallelArgMaxTest, MatchesSerialForManySeeds) {
   }
 }
 
-class ParallelArgMaxBatchTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ParallelArgMaxBatchTest, EvaluatesEveryCandidateAndFindsMax) {
-  ThreadPool pool(GetParam());
-  // Candidates in heap-pop-like (arbitrary, descending) order.
-  std::vector<size_t> candidates = {90, 51, 12, 77, 3, 68, 25, 44};
-  std::vector<double> scores;
-  double best = 0.0;
-  size_t pos = ParallelArgMaxBatch(
-      &pool, candidates,
-      [](size_t v) { return static_cast<double>(v % 10); }, &scores, &best);
-  ASSERT_EQ(scores.size(), candidates.size());
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    EXPECT_DOUBLE_EQ(scores[j], static_cast<double>(candidates[j] % 10));
-  }
-  // Max score 8.0 is attained by 68 only.
-  EXPECT_EQ(candidates[pos], 68u);
-  EXPECT_DOUBLE_EQ(best, 8.0);
-}
-
-TEST_P(ParallelArgMaxBatchTest, TieBreaksToSmallerCandidateValue) {
-  ThreadPool pool(GetParam());
-  // 44, 12 and 77 all score 9; the smaller candidate *value* (12) must
-  // win even though it sits mid-list — heap-pop order is arbitrary, so
-  // position cannot be the tie key.
-  std::vector<size_t> candidates = {44, 51, 12, 90, 77};
-  auto score = [](size_t v) {
-    return (v == 44 || v == 12 || v == 77) ? 9.0 : 1.0;
-  };
-  double best = 0.0;
-  size_t pos = ParallelArgMaxBatch(&pool, candidates, score, nullptr, &best);
-  EXPECT_EQ(candidates[pos], 12u);
-  EXPECT_DOUBLE_EQ(best, 9.0);
-}
-
-TEST_P(ParallelArgMaxBatchTest, AllSkippedOrEmptyReturnsSize) {
-  ThreadPool pool(GetParam());
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<size_t> candidates = {5, 6, 7};
-  std::vector<double> scores;
-  size_t pos = ParallelArgMaxBatch(&pool, candidates,
-                                   [](size_t) { return kNegInf; }, &scores,
-                                   nullptr);
-  EXPECT_EQ(pos, candidates.size());
-  ASSERT_EQ(scores.size(), 3u);
-  std::vector<size_t> empty;
-  EXPECT_EQ(ParallelArgMaxBatch(&pool, empty,
-                                [](size_t) { return 1.0; }, nullptr,
-                                nullptr),
-            0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelArgMaxBatchTest,
-                         ::testing::Values(1, 2, 4, 8));
-
-TEST(ParallelArgMaxBatchTest, NullPoolRunsInline) {
-  std::vector<size_t> candidates = {9, 4, 2, 7};
-  std::vector<double> scores;
-  double best = 0.0;
-  size_t pos = ParallelArgMaxBatch(
-      nullptr, candidates,
-      [](size_t v) { return static_cast<double>(v); }, &scores, &best);
-  EXPECT_EQ(candidates[pos], 9u);
-  EXPECT_DOUBLE_EQ(best, 9.0);
-  EXPECT_EQ(scores, (std::vector<double>{9.0, 4.0, 2.0, 7.0}));
-}
-
-TEST(ParallelArgMaxBatchTest, TieBreakStableUnderContention) {
-  // Many equal-score candidates across all chunks of an 8-wide pool,
-  // repeated 100x: the smallest candidate value must win every run.
-  ThreadPool pool(8);
-  std::vector<size_t> candidates(512);
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    // Descending ids, so the winner sits at the *end* of the list (the
-    // last chunk) — a merge that preferred earlier chunks would fail.
-    candidates[j] = 2000 - 2 * j;
-  }
-  for (int rep = 0; rep < 100; ++rep) {
-    double best = 0.0;
-    size_t pos = ParallelArgMaxBatch(&pool, candidates,
-                                     [](size_t) { return 1.25; }, nullptr,
-                                     &best);
-    ASSERT_EQ(candidates[pos], 2000u - 2u * 511u) << "rep " << rep;
-    ASSERT_DOUBLE_EQ(best, 1.25);
-  }
-}
-
 }  // namespace
 }  // namespace prefcover
