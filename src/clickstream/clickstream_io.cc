@@ -2,12 +2,29 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory_resource>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "util/csv.h"
 #include "util/string_util.h"
 
 namespace prefcover {
+
+namespace {
+
+// Hashes session ids as string_views, so the set is probed without
+// building a key string.
+struct SidHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view sid) const {
+    return std::hash<std::string_view>()(sid);
+  }
+};
+
+}  // namespace
 
 Status WriteClickstreamCsv(const Clickstream& clickstream,
                            std::ostream* out) {
@@ -69,7 +86,12 @@ Result<Clickstream> ReadClickstreamCsv(std::istream* in) {
   std::string current_sid;
   bool have_session = false;
   Session current;
-  std::unordered_set<std::string> finished_sids;
+  // Ids of the sessions already read, to reject one that reappears. The
+  // set's nodes come from one arena, so it costs no allocation per
+  // session and leaves no trail of small freed chunks behind.
+  std::pmr::monotonic_buffer_resource sid_arena;
+  std::pmr::unordered_set<std::pmr::string, SidHash, std::equal_to<>>
+      finished_sids(&sid_arena);
 
   auto flush = [&clickstream, &current]() {
     clickstream.AddSession(std::move(current));
@@ -99,9 +121,9 @@ Result<Clickstream> ReadClickstreamCsv(std::istream* in) {
     if (!have_session || sid != current_sid) {
       if (have_session) {
         flush();
-        finished_sids.insert(current_sid);
+        finished_sids.emplace(current_sid);
       }
-      if (finished_sids.count(sid) > 0) {
+      if (finished_sids.contains(std::string_view(sid))) {
         return Status::InvalidArgument("session '" + sid +
                                        "' reappears after other sessions; "
                                        "input must be grouped by session");

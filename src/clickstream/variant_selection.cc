@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace prefcover {
@@ -56,25 +56,50 @@ double IndependenceMeasure(const Clickstream& clickstream,
   // Group purchase sessions by purchased item.
   std::unordered_map<ItemId, std::vector<const Session*>> by_purchase;
   uint64_t total_purchases = 0;
+  size_t id_bound = 0;
   for (const Session& session : clickstream.sessions()) {
     if (!session.HasPurchase()) continue;
     by_purchase[session.purchase].push_back(&session);
     ++total_purchases;
+    for (ItemId click : session.clicks) {
+      id_bound = std::max<size_t>(id_bound, size_t{click} + 1);
+    }
   }
   if (total_purchases == 0) return 0.0;
 
+  // Scratch indexed by ItemId, restored after each item: how many of the
+  // item's sessions clicked the alternative, the last session that counted
+  // it (so a repeated click counts once), and its rank in the capped top
+  // list (kUnranked outside it).
+  constexpr size_t kUnranked = std::numeric_limits<size_t>::max();
+  std::vector<uint64_t> click_count(id_bound, 0);
+  std::vector<const Session*> counted_by(id_bound, nullptr);
+  std::vector<size_t> rank(id_bound, kUnranked);
+  std::vector<ItemId> clicked;
+  std::vector<size_t> hits;
+  std::vector<const Session*> hit_by;
+  std::vector<uint64_t> joint;
+
   double weighted_sum = 0.0;
   for (const auto& [item, sessions] : by_purchase) {
-    // Click frequency per alternative of this item.
-    std::unordered_map<ItemId, uint64_t> click_count;
+    // Pass 1: distinct-click frequency per alternative of this item.
+    clicked.clear();
     for (const Session* s : sessions) {
-      for (ItemId alt : s->Alternatives()) ++click_count[alt];
+      for (ItemId alt : s->clicks) {
+        if (alt == s->purchase || counted_by[alt] == s) continue;
+        counted_by[alt] = s;
+        if (click_count[alt]++ == 0) clicked.push_back(alt);
+      }
     }
-    if (click_count.size() < 2) continue;  // no pairs -> contributes 0
+    std::vector<std::pair<ItemId, uint64_t>> top;
+    top.reserve(clicked.size());
+    for (ItemId alt : clicked) {
+      top.emplace_back(alt, click_count[alt]);
+      click_count[alt] = 0;
+    }
+    if (top.size() < 2) continue;  // no pairs -> contributes 0
 
     // Keep the most clicked alternatives, capped.
-    std::vector<std::pair<ItemId, uint64_t>> top(click_count.begin(),
-                                                 click_count.end());
     std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
       if (a.second != b.second) return a.second > b.second;
       return a.first < b.first;
@@ -83,21 +108,42 @@ double IndependenceMeasure(const Clickstream& clickstream,
       top.resize(max_alternatives_per_item);
     }
 
+    // Pass 2: joint[i * k + j] (i < j) counts the sessions that clicked
+    // both top[i] and top[j]; top[i].second already counts those that
+    // clicked top[i].
+    const size_t k = top.size();
+    for (size_t i = 0; i < k; ++i) rank[top[i].first] = i;
+    joint.assign(k * k, 0);
+    hit_by.assign(k, nullptr);
+    for (const Session* s : sessions) {
+      hits.clear();
+      for (ItemId alt : s->clicks) {
+        const size_t r = rank[alt];
+        if (r == kUnranked || hit_by[r] == s) continue;
+        hit_by[r] = s;
+        hits.push_back(r);
+      }
+      for (size_t a = 0; a < hits.size(); ++a) {
+        for (size_t b = a + 1; b < hits.size(); ++b) {
+          ++joint[std::min(hits[a], hits[b]) * k +
+                  std::max(hits[a], hits[b])];
+        }
+      }
+    }
+    for (const auto& [alt, count] : top) rank[alt] = kUnranked;
+
     // Pairwise NMI over the alternatives' click indicators, conditioned on
     // this item being purchased.
+    const uint64_t n = sessions.size();
     double pair_sum = 0.0;
     size_t pair_count = 0;
-    for (size_t i = 0; i < top.size(); ++i) {
-      for (size_t j = i + 1; j < top.size(); ++j) {
-        uint64_t counts[2][2] = {{0, 0}, {0, 0}};
-        for (const Session* s : sessions) {
-          std::vector<ItemId> alts = s->Alternatives();
-          bool a = std::find(alts.begin(), alts.end(), top[i].first) !=
-                   alts.end();
-          bool b = std::find(alts.begin(), alts.end(), top[j].first) !=
-                   alts.end();
-          ++counts[a ? 1 : 0][b ? 1 : 0];
-        }
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = i + 1; j < k; ++j) {
+        const uint64_t ci = top[i].second;
+        const uint64_t cj = top[j].second;
+        const uint64_t cij = joint[i * k + j];
+        const uint64_t counts[2][2] = {{n - ci - cj + cij, cj - cij},
+                                       {ci - cij, cij}};
         pair_sum += BinaryNormalizedMutualInformation(counts);
         ++pair_count;
       }

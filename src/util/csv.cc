@@ -1,61 +1,167 @@
 #include "util/csv.h"
 
+#include <cstring>
 #include <istream>
 #include <ostream>
 
 namespace prefcover {
 
+namespace {
+
+constexpr size_t kBlockSize = 64 * 1024;
+
+// One record's RFC-4180 state machine, shared by ParseCsvLine and
+// CsvReader. The record may arrive in pieces (the reader's blocks); its
+// fields are written into the caller's vector, reusing its strings.
+class RecordParser {
+ public:
+  // With `line_ends_record`, an unquoted '\n' ends the record and a '\r'
+  // right before it or before the end of input is dropped; without it
+  // (ParseCsvLine's single record) both are ordinary bytes.
+  RecordParser(char delimiter, bool line_ends_record,
+               std::vector<std::string>* fields)
+      : delimiter_(delimiter),
+        line_ends_record_(line_ends_record),
+        fields_(fields) {
+    if (fields_->empty()) fields_->emplace_back();
+    field_ = &fields_->front();
+    field_->clear();
+  }
+
+  // Consumes [p, end) up to and including the '\n' that ends the record
+  // and returns where it stopped; check error() and done() after.
+  const char* Scan(const char* p, const char* end) {
+    while (p < end) {
+      if (pending_cr_) {
+        pending_cr_ = false;
+        if (*p == '\n') {
+          EndRecord();
+          return p + 1;
+        }
+        if (state_ == State::kClosed) return Fail(p, kAfterQuote);
+        field_->push_back('\r');
+        state_ = State::kUnquoted;
+      }
+      if (state_ == State::kQuoted) {
+        const char* quote = static_cast<const char*>(
+            std::memchr(p, '"', static_cast<size_t>(end - p)));
+        if (quote == nullptr) {
+          field_->append(p, static_cast<size_t>(end - p));
+          return end;
+        }
+        field_->append(p, static_cast<size_t>(quote - p));
+        state_ = State::kClosed;
+        p = quote + 1;
+        continue;
+      }
+      const char c = *p;
+      if (c == '"') {
+        ++p;
+        if (state_ == State::kClosed) {
+          field_->push_back('"');  // a doubled quote inside quotes
+        } else if (state_ == State::kUnquoted) {
+          return Fail(p, "unexpected quote inside unquoted field");
+        }
+        state_ = State::kQuoted;
+        continue;
+      }
+      if (state_ != State::kClosed) {
+        const char* run = p;
+        while (run < end && !IsSpecial(*run)) ++run;
+        if (run != p) {
+          field_->append(p, static_cast<size_t>(run - p));
+          state_ = State::kUnquoted;
+          p = run;
+          continue;
+        }
+      }
+      ++p;
+      if (c == delimiter_) {
+        NextField();
+      } else if (line_ends_record_ && c == '\n') {
+        EndRecord();
+        return p;
+      } else if (line_ends_record_ && c == '\r') {
+        pending_cr_ = true;
+      } else if (state_ == State::kClosed) {
+        return Fail(p, kAfterQuote);
+      } else {
+        field_->push_back(c);
+        state_ = State::kUnquoted;
+      }
+    }
+    return p;
+  }
+
+  // Closes the record at the end of input.
+  void Finish() {
+    if (state_ == State::kQuoted) {
+      error_ = "unterminated quoted field";
+      return;
+    }
+    EndRecord();
+  }
+
+  bool done() const { return done_; }
+  const char* error() const { return error_; }
+
+ private:
+  enum class State {
+    kFieldStart,  // nothing of the field read yet
+    kUnquoted,    // inside an unquoted field
+    kQuoted,      // inside quotes
+    kClosed,      // after a quote that closes the field or starts a ""
+  };
+
+  static constexpr const char* kAfterQuote = "characters after closing quote";
+
+  bool IsSpecial(char c) const {
+    return c == delimiter_ || c == '"' || c == '\n' || c == '\r';
+  }
+
+  const char* Fail(const char* p, const char* message) {
+    error_ = message;
+    return p;
+  }
+
+  void NextField() {
+    ++index_;
+    if (index_ == fields_->size()) {
+      fields_->emplace_back();
+    } else {
+      (*fields_)[index_].clear();
+    }
+    field_ = &(*fields_)[index_];
+    state_ = State::kFieldStart;
+  }
+
+  void EndRecord() {
+    fields_->resize(index_ + 1);
+    done_ = true;
+  }
+
+  const char delimiter_;
+  const bool line_ends_record_;
+  std::vector<std::string>* const fields_;
+  std::string* field_;
+  size_t index_ = 0;
+  State state_ = State::kFieldStart;
+  bool pending_cr_ = false;  // an unquoted '\r' whose successor is unread
+  bool done_ = false;
+  const char* error_ = nullptr;
+};
+
+}  // namespace
+
 Result<std::vector<std::string>> ParseCsvLine(std::string_view line,
                                               char delimiter) {
   std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  bool field_was_quoted = false;
-  size_t i = 0;
-  while (i < line.size()) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
-          i += 2;
-          continue;
-        }
-        in_quotes = false;
-        ++i;
-        continue;
-      }
-      current += c;
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      if (!current.empty() || field_was_quoted) {
-        return Status::InvalidArgument(
-            "unexpected quote inside unquoted field");
-      }
-      in_quotes = true;
-      field_was_quoted = true;
-      ++i;
-      continue;
-    }
-    if (c == delimiter) {
-      fields.push_back(std::move(current));
-      current.clear();
-      field_was_quoted = false;
-      ++i;
-      continue;
-    }
-    if (field_was_quoted) {
-      return Status::InvalidArgument("characters after closing quote");
-    }
-    current += c;
-    ++i;
+  RecordParser parser(delimiter, /*line_ends_record=*/false, &fields);
+  parser.Scan(line.data(), line.data() + line.size());
+  if (parser.error() == nullptr) parser.Finish();
+  if (parser.error() != nullptr) {
+    return Status::InvalidArgument(parser.error());
   }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quoted field");
-  }
-  fields.push_back(std::move(current));
   return fields;
 }
 
@@ -87,37 +193,32 @@ std::string FormatCsvLine(const std::vector<std::string>& fields,
 }
 
 CsvReader::CsvReader(std::istream* input, char delimiter)
-    : input_(input), delimiter_(delimiter) {}
+    : input_(input), delimiter_(delimiter), block_(kBlockSize) {}
+
+bool CsvReader::Refill() {
+  input_->read(block_.data(), static_cast<std::streamsize>(block_.size()));
+  pos_ = 0;
+  end_ = static_cast<size_t>(input_->gcount());
+  return end_ > 0;
+}
 
 bool CsvReader::Next(std::vector<std::string>* fields) {
   if (!status_.ok()) return false;
-  std::string record;
-  bool have_any = false;
-  // Accumulate physical lines until quotes balance, to support embedded
-  // newlines inside quoted fields.
-  for (;;) {
-    std::string line;
-    if (!std::getline(*input_, line)) break;
-    have_any = true;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!record.empty()) record += '\n';
-    record += line;
-    size_t quote_count = 0;
-    for (char c : record) {
-      if (c == '"') ++quote_count;
-    }
-    if (quote_count % 2 == 0) break;
-  }
-  if (!have_any) return false;
+  if (pos_ == end_ && !Refill()) return false;
   ++record_number_;
-  auto parsed = ParseCsvLine(record, delimiter_);
-  if (!parsed.ok()) {
+  RecordParser parser(delimiter_, /*line_ends_record=*/true, fields);
+  do {
+    const char* base = block_.data();
+    pos_ = static_cast<size_t>(parser.Scan(base + pos_, base + end_) - base);
+    if (parser.error() != nullptr || parser.done()) break;
+  } while (Refill());
+  if (parser.error() == nullptr && !parser.done()) parser.Finish();
+  if (parser.error() != nullptr) {
     status_ = Status::InvalidArgument("record " +
                                       std::to_string(record_number_) + ": " +
-                                      parsed.status().message());
+                                      parser.error());
     return false;
   }
-  *fields = std::move(parsed).value();
   return true;
 }
 

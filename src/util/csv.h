@@ -31,28 +31,41 @@ std::string FormatCsvLine(const std::vector<std::string>& fields,
 
 /// \brief Streaming CSV reader over an istream.
 ///
-/// Handles quoted fields spanning multiple physical lines and both LF and
-/// CRLF line endings.
+/// Reads the stream in fixed-size blocks, so it holds one block plus one
+/// record whatever the input size. A record ends at a '\n' outside quotes;
+/// a '\r' right before it (or before the end of input) is dropped, so LF
+/// and CRLF files read alike. Inside quotes every byte, '\r' and '\n'
+/// included, belongs to the field, so a record spans physical lines only
+/// while its quote count is odd.
 class CsvReader {
  public:
-  /// The stream must outlive the reader.
+  /// The stream must outlive the reader. The reader reads ahead of the
+  /// record it returns, so nothing else should read the stream after it.
   explicit CsvReader(std::istream* input, char delimiter = ',');
 
-  /// Reads the next record into `*fields`. Returns false at end of input.
-  /// A malformed record surfaces through status().
+  /// Reads the next record into `*fields`, reusing the capacity of the
+  /// strings already there. Returns false at end of input. A malformed
+  /// record surfaces through status() and leaves `*fields` unspecified.
   bool Next(std::vector<std::string>* fields);
 
   /// OK unless a malformed record has been encountered.
   const Status& status() const { return status_; }
 
-  /// 1-based index of the last record returned by Next.
+  /// 1-based index of the last record returned by Next, or of the
+  /// malformed record that stopped the reader.
   size_t record_number() const { return record_number_; }
 
  private:
+  /// Reads the next block; false at end of input.
+  bool Refill();
+
   std::istream* input_;
   char delimiter_;
   Status status_;
   size_t record_number_ = 0;
+  std::vector<char> block_;
+  size_t pos_ = 0;  // next unread byte of block_
+  size_t end_ = 0;  // bytes of block_ holding input
 };
 
 /// \brief Streaming CSV writer over an ostream.

@@ -1,7 +1,8 @@
 #include "util/parallel_for.h"
 
-#include <limits>
-#include <vector>
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
 
 #include "obs/trace.h"
 
@@ -9,10 +10,8 @@ namespace prefcover {
 
 void ParallelForChunked(
     ThreadPool* pool, size_t begin, size_t end,
-    const std::function<void(size_t, size_t, size_t)>& body,
-    const CancelToken* cancel) {
+    const std::function<void(size_t, size_t, size_t)>& body) {
   if (begin >= end) return;
-  if (cancel != nullptr && cancel->IsCancelled()) return;
   const size_t n = end - begin;
   const size_t num_workers = pool == nullptr ? 1 : pool->num_threads();
   if (num_workers <= 1 || n == 1) {
@@ -35,9 +34,7 @@ void ParallelForChunked(
     const size_t chunk_size = base + (c < extra ? 1 : 0);
     const size_t chunk_end = chunk_begin + chunk_size;
     pool->Submit([&, chunk_begin, chunk_end, c] {
-      // Cooperative cancellation: a chunk that has not started when the
-      // token trips is skipped whole; a started chunk always completes.
-      if (cancel == nullptr || !cancel->IsCancelled()) {
+      {
         obs::Span chunk_span("pool.chunk", "pool");
         chunk_span.Arg("lo", static_cast<uint64_t>(chunk_begin));
         chunk_span.Arg("hi", static_cast<uint64_t>(chunk_end));
@@ -53,53 +50,11 @@ void ParallelForChunked(
 }
 
 void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body,
-                 const CancelToken* cancel) {
-  ParallelForChunked(
-      pool, begin, end,
-      [&body](size_t lo, size_t hi, size_t /*worker*/) {
-        for (size_t i = lo; i < hi; ++i) body(i);
-      },
-      cancel);
-}
-
-size_t ParallelArgMax(ThreadPool* pool, size_t n,
-                      const std::function<double(size_t)>& score,
-                      double* best_score, const CancelToken* cancel) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  const size_t num_workers = pool == nullptr ? 1 : pool->num_threads();
-  const size_t num_slots = num_workers < n ? num_workers : (n > 0 ? n : 1);
-  std::vector<double> local_best(num_slots, kNegInf);
-  std::vector<size_t> local_arg(num_slots, n);
-
-  ParallelForChunked(pool, 0, n,
-                     [&](size_t lo, size_t hi, size_t worker) {
-                       double best = kNegInf;
-                       size_t arg = n;
-                       for (size_t i = lo; i < hi; ++i) {
-                         double s = score(i);
-                         if (s > best) {
-                           best = s;
-                           arg = i;
-                         }
-                       }
-                       local_best[worker] = best;
-                       local_arg[worker] = arg;
-                     },
-                     cancel);
-
-  double best = kNegInf;
-  size_t arg = n;
-  for (size_t w = 0; w < num_slots; ++w) {
-    // Chunks are contiguous and ascending, so the first strictly-better
-    // slot wins and ties resolve to the smaller index.
-    if (local_arg[w] != n && local_best[w] > best) {
-      best = local_best[w];
-      arg = local_arg[w];
-    }
-  }
-  if (best_score != nullptr) *best_score = best;
-  return arg;
+                 const std::function<void(size_t)>& body) {
+  ParallelForChunked(pool, begin, end,
+                     [&body](size_t lo, size_t hi, size_t /*worker*/) {
+                       for (size_t i = lo; i < hi; ++i) body(i);
+                     });
 }
 
 }  // namespace prefcover

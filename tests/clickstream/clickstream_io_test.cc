@@ -94,6 +94,31 @@ TEST(ClickstreamIoTest, RejectsInterleavedSessions) {
   EXPECT_TRUE(ReadClickstreamCsv(&in).status().IsInvalidArgument());
 }
 
+TEST(ClickstreamIoTest, RejectsReappearingLongSessionId) {
+  // Ids longer than the short-string buffer live in the reader's arena.
+  const std::string sid = "session-id-longer-than-sso-" + std::string(40, 'x');
+  std::istringstream in("session_id,event_type,item_id\n" + sid +
+                        ",click,x\n1,click,y\n" + sid + ",purchase,x\n");
+  auto read = ReadClickstreamCsv(&in);
+  ASSERT_TRUE(read.status().IsInvalidArgument());
+  EXPECT_EQ(read.status().message(),
+            "session '" + sid +
+                "' reappears after other sessions; input must be grouped by "
+                "session");
+}
+
+TEST(ClickstreamIoTest, BlankLineNamesItsRecord) {
+  std::istringstream in(
+      "session_id,event_type,item_id\n"
+      "0,click,x\n"
+      "\n"
+      "0,purchase,x\n");
+  auto read = ReadClickstreamCsv(&in);
+  ASSERT_TRUE(read.status().IsInvalidArgument());
+  EXPECT_EQ(read.status().message(),
+            "clickstream record 3 has the wrong field count");
+}
+
 TEST(ClickstreamIoTest, EmptyInputYieldsEmptyClickstream) {
   std::istringstream in("session_id,event_type,item_id\n");
   auto read = ReadClickstreamCsv(&in);

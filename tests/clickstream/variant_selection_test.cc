@@ -1,11 +1,113 @@
 #include "clickstream/variant_selection.h"
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "synth/dataset_profiles.h"
 #include "util/random.h"
 
 namespace prefcover {
 namespace {
+
+// The measure as first written: one scan of the item's sessions, each
+// copying Session::Alternatives(), per pair of capped alternatives. The
+// two-pass IndependenceMeasure must match it bit for bit.
+double ReferenceIndependenceMeasure(const Clickstream& clickstream,
+                                    size_t max_alternatives_per_item) {
+  // Group purchase sessions by purchased item.
+  std::unordered_map<ItemId, std::vector<const Session*>> by_purchase;
+  uint64_t total_purchases = 0;
+  for (const Session& session : clickstream.sessions()) {
+    if (!session.HasPurchase()) continue;
+    by_purchase[session.purchase].push_back(&session);
+    ++total_purchases;
+  }
+  if (total_purchases == 0) return 0.0;
+
+  double weighted_sum = 0.0;
+  for (const auto& [item, sessions] : by_purchase) {
+    // Click frequency per alternative of this item.
+    std::unordered_map<ItemId, uint64_t> click_count;
+    for (const Session* s : sessions) {
+      for (ItemId alt : s->Alternatives()) ++click_count[alt];
+    }
+    if (click_count.size() < 2) continue;  // no pairs -> contributes 0
+
+    // Keep the most clicked alternatives, capped.
+    std::vector<std::pair<ItemId, uint64_t>> top(click_count.begin(),
+                                                 click_count.end());
+    std::sort(top.begin(), top.end(), [](const auto& a, const auto& b) {
+      if (a.second != b.second) return a.second > b.second;
+      return a.first < b.first;
+    });
+    if (top.size() > max_alternatives_per_item) {
+      top.resize(max_alternatives_per_item);
+    }
+
+    // Pairwise NMI over the alternatives' click indicators, conditioned on
+    // this item being purchased.
+    double pair_sum = 0.0;
+    size_t pair_count = 0;
+    for (size_t i = 0; i < top.size(); ++i) {
+      for (size_t j = i + 1; j < top.size(); ++j) {
+        uint64_t counts[2][2] = {{0, 0}, {0, 0}};
+        for (const Session* s : sessions) {
+          std::vector<ItemId> alts = s->Alternatives();
+          bool a = std::find(alts.begin(), alts.end(), top[i].first) !=
+                   alts.end();
+          bool b = std::find(alts.begin(), alts.end(), top[j].first) !=
+                   alts.end();
+          ++counts[a ? 1 : 0][b ? 1 : 0];
+        }
+        pair_sum += BinaryNormalizedMutualInformation(counts);
+        ++pair_count;
+      }
+    }
+    double item_avg = pair_count == 0 ? 0.0
+                                      : pair_sum /
+                                            static_cast<double>(pair_count);
+    // Purchase-share weighting = node-weight weighting of the paper.
+    weighted_sum += item_avg * static_cast<double>(sessions.size()) /
+                    static_cast<double>(total_purchases);
+  }
+  return weighted_sum;
+}
+
+constexpr size_t kCaps[] = {1, 2, 12, 40};
+
+// Requires IndependenceMeasure to equal the reference bit for bit at every
+// cap in kCaps.
+void ExpectMatchesReference(const Clickstream& cs, const std::string& label) {
+  for (size_t cap : kCaps) {
+    const double expected = ReferenceIndependenceMeasure(cs, cap);
+    const double actual = IndependenceMeasure(cs, cap);
+    EXPECT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
+        << label << " cap " << cap << ": expected " << expected << ", got "
+        << actual;
+  }
+}
+
+// A stream over `num_items` interned items; each session is
+// (purchase or -1, clicks).
+Clickstream MakeStream(
+    int num_items,
+    const std::vector<std::pair<int, std::vector<int>>>& sessions) {
+  Clickstream cs;
+  ItemDictionary* dict = cs.mutable_dictionary();
+  for (int i = 0; i < num_items; ++i) dict->Intern("item" + std::to_string(i));
+  for (const auto& [purchase, clicks] : sessions) {
+    Session s;
+    if (purchase >= 0) s.purchase = static_cast<ItemId>(purchase);
+    for (int click : clicks) s.clicks.push_back(static_cast<ItemId>(click));
+    cs.AddSession(std::move(s));
+  }
+  return cs;
+}
 
 // Builds a clickstream of `sessions` purchases of one item, where each
 // session's alternative clicks come from `pattern(session_index)`.
@@ -103,6 +205,124 @@ TEST(IndependenceMeasureTest, SingleAlternativeItemContributesZero) {
 TEST(IndependenceMeasureTest, EmptyClickstreamScoresZero) {
   Clickstream cs;
   EXPECT_DOUBLE_EQ(IndependenceMeasure(cs), 0.0);
+}
+
+TEST(IndependenceMeasureReferenceTest, MatchesOnEveryProfile) {
+  for (DatasetProfile profile :
+       {DatasetProfile::kPE, DatasetProfile::kPF, DatasetProfile::kPM,
+        DatasetProfile::kYC}) {
+    for (uint64_t seed : {3u, 8u}) {
+      auto cs = GenerateProfileClickstream(profile, 0.0005, seed);
+      ASSERT_TRUE(cs.ok());
+      ExpectMatchesReference(*cs, std::string(GetProfileSpec(profile).name) +
+                                      " seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(IndependenceMeasureReferenceTest, DuplicateClickCountsOnce) {
+  // Item 0 is bought; sessions click alternative 1 twice.
+  Clickstream cs = MakeStream(4, {{0, {1, 1, 2}},
+                                  {0, {1, 2, 1, 3}},
+                                  {0, {3, 3}},
+                                  {0, {2}},
+                                  {0, {1, 3, 1}}});
+  ExpectMatchesReference(cs, "duplicate clicks");
+}
+
+TEST(IndependenceMeasureReferenceTest, PurchaseAmongItsOwnClicks) {
+  Clickstream cs = MakeStream(4, {{0, {0, 1, 2}},
+                                  {0, {1, 0}},
+                                  {0, {0, 2, 3, 0}},
+                                  {1, {1, 0, 2}},
+                                  {1, {2, 1}}});
+  ExpectMatchesReference(cs, "purchase clicked");
+}
+
+TEST(IndependenceMeasureReferenceTest, TiedCountsBeyondTheCap) {
+  // 50 alternatives of item 0 in tied groups: 1..10 are clicked by three
+  // sessions each, 11..50 by two, in varied company, so the cap cuts
+  // through a tie and the smaller ids must be kept.
+  std::vector<std::pair<int, std::vector<int>>> sessions;
+  for (int alt = 1; alt <= 50; ++alt) {
+    const int times = alt <= 10 ? 3 : 2;
+    for (int t = 0; t < times; ++t) {
+      sessions.push_back({0, {alt, 1 + (alt * 7 + t * 13) % 50}});
+    }
+  }
+  Clickstream cs = MakeStream(51, sessions);
+  ExpectMatchesReference(cs, "ties");
+}
+
+TEST(IndependenceMeasureReferenceTest, BrowseOnlySessionsAreIgnored) {
+  Clickstream cs = MakeStream(5, {{-1, {1, 2, 3}},
+                                  {0, {1, 2}},
+                                  {-1, {2, 4}},
+                                  {0, {2, 3}},
+                                  {-1, {}},
+                                  {0, {1, 4}}});
+  ExpectMatchesReference(cs, "browse-only");
+  Clickstream browse_only = MakeStream(3, {{-1, {0, 1}}, {-1, {2}}});
+  ExpectMatchesReference(browse_only, "only browse-only");
+}
+
+TEST(IndependenceMeasureReferenceTest, ItemWithNoOtherClicks) {
+  // Item 2's sessions click nothing or only item 2 itself.
+  Clickstream cs = MakeStream(4, {{2, {}},
+                                  {2, {2}},
+                                  {0, {1, 3}},
+                                  {2, {2, 2}},
+                                  {0, {1}},
+                                  {0, {3}}});
+  ExpectMatchesReference(cs, "no other clicks");
+}
+
+TEST(IndependenceMeasureReferenceTest, MatchesOnRandomStreams) {
+  // Few items, so ties, repeats, self-clicks and browse-only sessions are
+  // all common.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const uint64_t num_items = 3 + rng.NextBounded(40);
+    std::vector<std::pair<int, std::vector<int>>> sessions(
+        20 + rng.NextBounded(200));
+    for (auto& [purchase, clicks] : sessions) {
+      purchase = rng.NextBernoulli(0.2)
+                     ? -1
+                     : static_cast<int>(rng.NextBounded(num_items / 3 + 1));
+      clicks.resize(rng.NextBounded(8));
+      for (int& click : clicks) {
+        click = static_cast<int>(rng.NextBounded(num_items));
+      }
+    }
+    ExpectMatchesReference(MakeStream(static_cast<int>(num_items), sessions),
+                           "seed " + std::to_string(seed));
+  }
+}
+
+TEST(RecommendVariantTest, MatchesReferenceOnEveryProfile) {
+  const VariantSelectionOptions options;
+  for (DatasetProfile profile :
+       {DatasetProfile::kPE, DatasetProfile::kPF, DatasetProfile::kPM,
+        DatasetProfile::kYC}) {
+    for (uint64_t seed : {3u, 8u}) {
+      auto cs = GenerateProfileClickstream(profile, 0.0005, seed);
+      ASSERT_TRUE(cs.ok());
+      const double independence = ReferenceIndependenceMeasure(
+          *cs, options.max_alternatives_per_item);
+      const double normalized_fit = NormalizedFitShare(*cs);
+      const bool normalized_fits =
+          normalized_fit >= options.normalized_fit_threshold;
+      const VariantRecommendation rec = RecommendVariant(*cs, options);
+      EXPECT_EQ(rec.variant, normalized_fits ? Variant::kNormalized
+                                             : Variant::kIndependent);
+      EXPECT_EQ(rec.normalized_fits, normalized_fits);
+      EXPECT_EQ(rec.independent_fits,
+                independence < options.independence_threshold);
+      EXPECT_EQ(std::memcmp(&rec.independence, &independence,
+                            sizeof(double)),
+                0);
+    }
+  }
 }
 
 TEST(RecommendVariantTest, NormalizedShapeRecommendsNormalized) {

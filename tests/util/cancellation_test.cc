@@ -5,12 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
-
-#include "util/parallel_for.h"
-#include "util/thread_pool.h"
 
 namespace prefcover {
 namespace {
@@ -107,63 +103,6 @@ TEST(CancelTokenTest, SignalHookupTripsToken) {
   EXPECT_TRUE(token.IsCancelled());
   EXPECT_EQ(LastCancelSignal(), SIGTERM);
   InstallSignalCancel(nullptr);
-}
-
-TEST(ParallelForCancelTest, PreCancelledRunsNothing) {
-  ThreadPool pool(4);
-  CancelToken token;
-  token.Cancel();
-  std::atomic<size_t> executed{0};
-  ParallelFor(&pool, 0, 10'000, [&](size_t) { ++executed; }, &token);
-  EXPECT_EQ(executed.load(), 0u);
-}
-
-TEST(ParallelForCancelTest, NullTokenRunsEverything) {
-  ThreadPool pool(4);
-  std::atomic<size_t> executed{0};
-  ParallelFor(&pool, 0, 10'000, [&](size_t) { ++executed; }, nullptr);
-  EXPECT_EQ(executed.load(), 10'000u);
-}
-
-TEST(ParallelForCancelTest, MidRunCancelSkipsRemainingChunks) {
-  // One of the two workers is parked on a blocker task, so the two chunks
-  // execute serially on the free worker: the first chunk trips the token
-  // (and, being already running, completes — chunk granularity), the
-  // second sees the tripped token before starting and is skipped whole.
-  ThreadPool pool(2);
-  CancelToken token;
-  std::atomic<bool> release{false};
-  pool.Submit([&] {
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  std::atomic<size_t> executed{0};
-  std::atomic<size_t> chunks_started{0};
-  ParallelForChunked(
-      &pool, 0, 10'000,
-      [&](size_t chunk_begin, size_t chunk_end, size_t) {
-        ++chunks_started;
-        token.Cancel();
-        executed += chunk_end - chunk_begin;
-      },
-      &token);
-  release.store(true);
-  EXPECT_EQ(chunks_started.load(), 1u);
-  EXPECT_EQ(executed.load(), 5'000u);
-}
-
-TEST(ParallelForCancelTest, CancelledArgMaxSignalsEmptyResult) {
-  ThreadPool pool(4);
-  CancelToken token;
-  token.Cancel();
-  double best = 0.0;
-  const size_t n = 1'000;
-  size_t arg = ParallelArgMax(
-      &pool, n, [](size_t i) { return static_cast<double>(i); }, &best,
-      &token);
-  // Every chunk was skipped, so the documented "all skipped" sentinel.
-  EXPECT_EQ(arg, n);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Tests for ThreadPool, ParallelFor and ParallelArgMax.
+// Tests for ThreadPool and ParallelFor.
 
+#include <algorithm>
 #include <atomic>
-#include <limits>
-#include <numeric>
+#include <mutex>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,95 +136,6 @@ TEST(ParallelForChunkedTest, WorkerIndicesAreDistinct) {
   std::sort(workers.begin(), workers.end());
   for (size_t i = 0; i < workers.size(); ++i) {
     EXPECT_EQ(workers[i], i);
-  }
-}
-
-class ParallelArgMaxTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ParallelArgMaxTest, FindsUniqueMaximum) {
-  ThreadPool pool(GetParam());
-  std::vector<double> scores(500);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    scores[i] = static_cast<double>((i * 37) % 499);
-  }
-  scores[371] = 1000.0;
-  double best = 0.0;
-  size_t arg = ParallelArgMax(&pool, scores.size(),
-                              [&scores](size_t i) { return scores[i]; },
-                              &best);
-  EXPECT_EQ(arg, 371u);
-  EXPECT_DOUBLE_EQ(best, 1000.0);
-}
-
-TEST_P(ParallelArgMaxTest, TieBreaksToSmallerIndex) {
-  ThreadPool pool(GetParam());
-  std::vector<double> scores(100, 1.0);
-  scores[30] = 5.0;
-  scores[70] = 5.0;
-  double best = 0.0;
-  size_t arg = ParallelArgMax(&pool, scores.size(),
-                              [&scores](size_t i) { return scores[i]; },
-                              &best);
-  EXPECT_EQ(arg, 30u);
-}
-
-TEST_P(ParallelArgMaxTest, AllSkippedReturnsN) {
-  ThreadPool pool(GetParam());
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  double best = 0.0;
-  size_t arg = ParallelArgMax(&pool, 50, [](size_t) { return kNegInf; },
-                              &best);
-  EXPECT_EQ(arg, 50u);
-}
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelArgMaxTest,
-                         ::testing::Values(1, 2, 4, 8));
-
-TEST(ParallelArgMaxTest, TieBreakStableUnderContention) {
-  // The solvers' determinism rests on "equal scores -> smaller index
-  // wins" holding for every chunk/thread interleaving. Hammer it: many
-  // equal-score candidates, a wide pool, 100 repetitions.
-  ThreadPool pool(8);
-  std::vector<double> scores(1024, 1.0);
-  scores[97] = 7.0;
-  scores[98] = 7.0;
-  scores[641] = 7.0;  // equal maxima far apart, in different chunks
-  for (int rep = 0; rep < 100; ++rep) {
-    double best = 0.0;
-    size_t arg = ParallelArgMax(&pool, scores.size(),
-                                [&scores](size_t i) { return scores[i]; },
-                                &best);
-    ASSERT_EQ(arg, 97u) << "rep " << rep;
-    ASSERT_DOUBLE_EQ(best, 7.0);
-  }
-  // All-equal input: index 0 must win every time.
-  for (int rep = 0; rep < 100; ++rep) {
-    double best = 0.0;
-    size_t arg = ParallelArgMax(&pool, 512, [](size_t) { return 3.5; },
-                                &best);
-    ASSERT_EQ(arg, 0u) << "rep " << rep;
-  }
-}
-
-TEST(ParallelArgMaxTest, MatchesSerialForManySeeds) {
-  ThreadPool pool(4);
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    std::vector<double> scores(211);
-    uint64_t state = seed * 2654435761u + 1;
-    for (auto& s : scores) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      s = static_cast<double>(state >> 40);
-    }
-    size_t serial_arg = 0;
-    for (size_t i = 1; i < scores.size(); ++i) {
-      if (scores[i] > scores[serial_arg]) serial_arg = i;
-    }
-    double best = 0.0;
-    size_t parallel_arg = ParallelArgMax(
-        &pool, scores.size(), [&scores](size_t i) { return scores[i]; },
-        &best);
-    EXPECT_EQ(parallel_arg, serial_arg) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(best, scores[serial_arg]);
   }
 }
 
