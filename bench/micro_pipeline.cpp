@@ -3,6 +3,10 @@
 // graph serialization — on the BenchRunner harness, so `--json` emits the
 // machine-readable BENCH_core.json record.
 //
+// clickstream/stream_build runs the streaming construction over the CSV
+// that clickstream/csv_read reads into memory: both decode it the same
+// way, and only the in-memory reader keeps every finished session id.
+//
 // The .pcg cases time the encoder and the decoder separately on a PE
 // profile graph (graph/pcg_write, graph/pcg_read); the "bytes" counter
 // is the image size, so throughput is bytes / p50.
@@ -19,6 +23,7 @@
 #include "bench/bench_runner.h"
 #include "clickstream/clickstream_io.h"
 #include "clickstream/graph_construction.h"
+#include "clickstream/streaming_construction.h"
 #include "clickstream/variant_selection.h"
 #include "eval/experiment.h"
 #include "graph/graph_io.h"
@@ -147,6 +152,16 @@ int main(int argc, char** argv) {
         recorder->Record("sessions", static_cast<double>(cs->NumSessions()));
         recorder->Record("bytes",
                          static_cast<double>(fixture.clickstream_csv.size()));
+        return Status::OK();
+      }));
+
+  run_or_die(PipelineCase(
+      "clickstream/stream_build", sessions,
+      [&fixture](BenchRecorder* recorder) {
+        std::istringstream in(fixture.clickstream_csv);
+        auto graph = BuildPreferenceGraphStreaming(&in);
+        PREFCOVER_RETURN_NOT_OK(graph.status());
+        recorder->Record("edges", static_cast<double>(graph->NumEdges()));
         return Status::OK();
       }));
 

@@ -1,6 +1,7 @@
 #include "clickstream/clickstream.h"
 
 #include <cstdio>
+#include <vector>
 
 namespace prefcover {
 
@@ -10,11 +11,21 @@ ClickstreamStats Clickstream::ComputeStats() const {
   s.num_items = dictionary_.size();
   size_t alternative_total = 0;
   size_t at_most_one = 0;
+  // The session that last counted each item, so that a repeated click
+  // counts once: alts is Alternatives().size() without building the list.
+  std::vector<const Session*> counted_by(dictionary_.size(), nullptr);
   for (const Session& session : sessions_) {
     s.num_clicks += session.clicks.size();
     if (!session.HasPurchase()) continue;
     ++s.num_purchases;
-    size_t alts = session.Alternatives().size();
+    size_t alts = 0;
+    for (ItemId item : session.clicks) {
+      if (item == session.purchase) continue;
+      if (item >= counted_by.size()) counted_by.resize(size_t{item} + 1);
+      if (counted_by[item] == &session) continue;
+      counted_by[item] = &session;
+      ++alts;
+    }
     alternative_total += alts;
     if (alts <= 1) ++at_most_one;
   }

@@ -76,64 +76,42 @@ Status WriteClickstreamCsv(const Clickstream& clickstream,
   return Status::OK();
 }
 
-Result<Clickstream> ReadClickstreamCsv(std::istream* in) {
-  Clickstream clickstream;
-  ItemDictionary* dict = clickstream.mutable_dictionary();
+Status DecodeClickstreamCsv(std::istream* in, ItemDictionary* dictionary,
+                            const ClickstreamSessionSink& sink) {
   CsvReader reader(in);
   std::vector<std::string> fields;
-  bool header = true;
-  bool has_dwell_column = false;
-  std::string current_sid;
+  if (!reader.Next(&fields)) return reader.status();
+  if ((fields.size() != 3 && fields.size() != 4) ||
+      fields[0] != "session_id") {
+    return Status::InvalidArgument(
+        "clickstream CSV must start with session_id,event_type,item_id"
+        "[,dwell_seconds]");
+  }
+  const size_t num_fields = fields.size();
+  const bool has_dwell_column = num_fields == 4;
+  std::string sid;
   bool have_session = false;
-  Session current;
-  // Ids of the sessions already read, to reject one that reappears. The
-  // set's nodes come from one arena, so it costs no allocation per
-  // session and leaves no trail of small freed chunks behind.
-  std::pmr::monotonic_buffer_resource sid_arena;
-  std::pmr::unordered_set<std::pmr::string, SidHash, std::equal_to<>>
-      finished_sids(&sid_arena);
-
-  auto flush = [&clickstream, &current]() {
-    clickstream.AddSession(std::move(current));
-    current = Session();
-  };
-
+  Session session;
   while (reader.Next(&fields)) {
-    if (header) {
-      header = false;
-      if ((fields.size() != 3 && fields.size() != 4) ||
-          fields[0] != "session_id") {
-        return Status::InvalidArgument(
-            "clickstream CSV must start with session_id,event_type,item_id"
-            "[,dwell_seconds]");
-      }
-      has_dwell_column = fields.size() == 4;
-      continue;
-    }
-    if (fields.size() != (has_dwell_column ? 4u : 3u)) {
+    if (fields.size() != num_fields) {
       return Status::InvalidArgument(
           "clickstream record " + std::to_string(reader.record_number()) +
           " has the wrong field count");
     }
-    const std::string& sid = fields[0];
-    const std::string& type = fields[1];
-    const std::string& item_name = fields[2];
-    if (!have_session || sid != current_sid) {
+    if (!have_session || fields[0] != sid) {
       if (have_session) {
-        flush();
-        finished_sids.emplace(current_sid);
+        PREFCOVER_RETURN_NOT_OK(sink(sid, &session));
+        session.clicks.clear();
+        session.dwell_seconds.clear();
+        session.purchase = kInvalidItem;
       }
-      if (finished_sids.contains(std::string_view(sid))) {
-        return Status::InvalidArgument("session '" + sid +
-                                       "' reappears after other sessions; "
-                                       "input must be grouped by session");
-      }
-      current_sid = sid;
+      sid = fields[0];
       have_session = true;
     }
-    ItemId item = dict->Intern(item_name);
+    const std::string& type = fields[1];
+    ItemId item = dictionary->Intern(fields[2]);
     if (type == "click") {
-      current.clicks.push_back(item);
+      session.clicks.push_back(item);
       if (has_dwell_column) {
         double dwell = -1.0;
         if (!fields[3].empty()) {
@@ -145,14 +123,14 @@ Result<Clickstream> ReadClickstreamCsv(std::istream* in) {
           }
           dwell = *parsed;
         }
-        current.dwell_seconds.push_back(dwell);
+        session.dwell_seconds.push_back(dwell);
       }
     } else if (type == "purchase") {
-      if (current.HasPurchase()) {
+      if (session.HasPurchase()) {
         return Status::InvalidArgument("session '" + sid +
                                        "' has multiple purchases");
       }
-      current.purchase = item;
+      session.purchase = item;
     } else {
       return Status::InvalidArgument("unknown event type '" + type +
                                      "' in record " +
@@ -160,7 +138,30 @@ Result<Clickstream> ReadClickstreamCsv(std::istream* in) {
     }
   }
   PREFCOVER_RETURN_NOT_OK(reader.status());
-  if (have_session) flush();
+  return have_session ? sink(sid, &session) : Status::OK();
+}
+
+Result<Clickstream> ReadClickstreamCsv(std::istream* in) {
+  Clickstream clickstream;
+  // Ids of the sessions already read, to reject one that reappears. The
+  // set's nodes come from one arena, so it costs no allocation per
+  // session and leaves no trail of small freed chunks behind.
+  std::pmr::monotonic_buffer_resource sid_arena;
+  std::pmr::unordered_set<std::pmr::string, SidHash, std::equal_to<>>
+      finished_sids(&sid_arena);
+  PREFCOVER_RETURN_NOT_OK(DecodeClickstreamCsv(
+      in, clickstream.mutable_dictionary(),
+      [&clickstream, &finished_sids](std::string_view sid,
+                                     Session* session) {
+        if (!finished_sids.emplace(sid).second) {
+          return Status::InvalidArgument(
+              "session '" + std::string(sid) +
+              "' reappears after other sessions; input must be grouped by "
+              "session");
+        }
+        clickstream.AddSession(std::move(*session));
+        return Status::OK();
+      }));
   return clickstream;
 }
 

@@ -1,84 +1,16 @@
 #include "clickstream/graph_construction.h"
 
-#include <algorithm>
-#include <unordered_map>
-#include <vector>
-
-#include "graph/graph_builder.h"
+#include "clickstream/streaming_construction.h"
 
 namespace prefcover {
 
 Result<PreferenceGraph> BuildPreferenceGraph(
     const Clickstream& clickstream, const GraphConstructionOptions& options) {
-  const size_t num_items = clickstream.NumItems();
-  if (num_items == 0) {
-    return Status::FailedPrecondition("clickstream has no items");
-  }
-
-  std::vector<uint64_t> purchase_count(num_items, 0);
-  // Fractional click mass per (purchased, clicked) pair.
-  std::unordered_map<uint64_t, double> pair_mass;
-  uint64_t total_purchases = 0;
-
+  StreamingGraphBuilder builder(options);
   for (const Session& session : clickstream.sessions()) {
-    if (!session.HasPurchase()) continue;
-    ItemId p = session.purchase;
-    ++purchase_count[p];
-    ++total_purchases;
-    std::vector<std::pair<ItemId, double>> alts =
-        session.AlternativesWithDwell();
-    if (alts.empty()) continue;
-    // Independent: each alternative counts fully. Normalized: a session
-    // with t > 1 alternatives counts each as 1/t, so edge weights per node
-    // sum to at most 1 across all sessions. The dwell correction (<= 1)
-    // scales each click's contribution and therefore preserves the
-    // Normalized bound.
-    double mass = 1.0;
-    if (options.variant == Variant::kNormalized && alts.size() > 1) {
-      mass = 1.0 / static_cast<double>(alts.size());
-    }
-    for (const auto& [b, dwell] : alts) {
-      double corrected = mass;
-      if (options.dwell_saturation_seconds > 0.0 && dwell >= 0.0) {
-        corrected *= std::min(1.0, dwell / options.dwell_saturation_seconds);
-      }
-      if (corrected <= 0.0) continue;
-      pair_mass[(static_cast<uint64_t>(p) << 32) | b] += corrected;
-    }
+    builder.AddSession(session);
   }
-  if (total_purchases == 0) {
-    return Status::FailedPrecondition(
-        "clickstream has no purchase sessions; cannot infer preferences");
-  }
-
-  GraphBuilder builder;
-  builder.Reserve(num_items, pair_mass.size());
-  for (ItemId item = 0; item < num_items; ++item) {
-    builder.AddNode(static_cast<double>(purchase_count[item]) /
-                        static_cast<double>(total_purchases),
-                    clickstream.dictionary().Name(item));
-  }
-  for (const auto& [key, mass] : pair_mass) {
-    ItemId from = static_cast<ItemId>(key >> 32);
-    ItemId to = static_cast<ItemId>(key & 0xFFFFFFFFu);
-    if (options.min_purchases_for_edges > 0 &&
-        purchase_count[from] < options.min_purchases_for_edges) {
-      continue;
-    }
-    double weight = mass / static_cast<double>(purchase_count[from]);
-    // Fractional accumulation can land a hair above 1 (e.g. every session
-    // clicking the same single alternative); clamp the fp excess.
-    if (weight > 1.0) weight = 1.0;
-    if (weight < options.min_edge_weight) continue;
-    PREFCOVER_RETURN_NOT_OK(builder.AddEdge(from, to, weight));
-  }
-
-  GraphValidationOptions validation;
-  validation.require_normalized_out_weights =
-      options.variant == Variant::kNormalized;
-  // Edge dropping can only lower out-sums, so Normalized admissibility is
-  // preserved by construction.
-  return builder.Finalize(validation);
+  return builder.Finish(clickstream.dictionary());
 }
 
 }  // namespace prefcover

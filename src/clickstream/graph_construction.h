@@ -53,12 +53,14 @@ struct GraphConstructionOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// \brief Builds the preference graph. Node ids equal the clickstream's
-/// ItemIds; every dictionary item becomes a node (possibly weight 0 when it
-/// was clicked but never purchased); labels carry the dictionary names.
+/// \brief Builds the preference graph by feeding every session to a
+/// StreamingGraphBuilder, the counting the streaming construction uses.
+/// Node ids equal the clickstream's ItemIds; every dictionary item becomes
+/// a node (possibly weight 0 when it was clicked but never purchased);
+/// labels carry the dictionary names.
 ///
-/// Fails with FailedPrecondition when the clickstream contains no
-/// purchases.
+/// Fails with FailedPrecondition when the clickstream contains no items or
+/// no purchases.
 Result<PreferenceGraph> BuildPreferenceGraph(
     const Clickstream& clickstream,
     const GraphConstructionOptions& options = GraphConstructionOptions());

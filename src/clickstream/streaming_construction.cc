@@ -4,50 +4,38 @@
 #include <fstream>
 #include <istream>
 
+#include "clickstream/clickstream_io.h"
 #include "graph/graph_builder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/csv.h"
 #include "util/failpoint.h"
-#include "util/string_util.h"
 
 namespace prefcover {
 
 StreamingGraphBuilder::StreamingGraphBuilder(
     const GraphConstructionOptions& options)
-    : options_(options),
-      sessions_counter_(obs::MetricsRegistry::Global().GetCounter(
-          "clickstream.sessions")),
-      purchases_counter_(obs::MetricsRegistry::Global().GetCounter(
-          "clickstream.purchases")),
-      edges_counter_(obs::MetricsRegistry::Global().GetCounter(
-          "clickstream.edges")) {}
+    : options_(options) {}
 
-ItemId StreamingGraphBuilder::InternItem(const std::string& name) {
-  ItemId id = dictionary_.Intern(name);
-  if (id >= purchase_count_.size()) purchase_count_.resize(id + 1, 0);
-  return id;
-}
-
-void StreamingGraphBuilder::AddSession(Session session) {
+void StreamingGraphBuilder::AddSession(const Session& session) {
   ++sessions_seen_;
-  sessions_counter_->Increment();
   if (!session.HasPurchase()) return;
-  purchases_counter_->Increment();
   ItemId p = session.purchase;
-  PREFCOVER_CHECK_MSG(p < purchase_count_.size(),
-                      "purchase id not interned through this builder");
+  if (p >= purchase_count_.size()) purchase_count_.resize(size_t{p} + 1, 0);
   ++purchase_count_[p];
   ++purchases_seen_;
   std::vector<std::pair<ItemId, double>> alts =
       session.AlternativesWithDwell();
   if (alts.empty()) return;
+  // Independent: each alternative counts fully. Normalized: a session
+  // with t > 1 alternatives counts each as 1/t, so edge weights per node
+  // sum to at most 1 across all sessions. The dwell correction (<= 1)
+  // scales each click's contribution and therefore preserves the
+  // Normalized bound.
   double mass = 1.0;
   if (options_.variant == Variant::kNormalized && alts.size() > 1) {
     mass = 1.0 / static_cast<double>(alts.size());
   }
   for (const auto& [b, dwell] : alts) {
-    PREFCOVER_CHECK(b < purchase_count_.size());
     double corrected = mass;
     if (options_.dwell_saturation_seconds > 0.0 && dwell >= 0.0) {
       corrected *=
@@ -58,11 +46,9 @@ void StreamingGraphBuilder::AddSession(Session session) {
   }
 }
 
-Result<PreferenceGraph> StreamingGraphBuilder::Finish() const {
-  obs::Span finish_span("clickstream.finish", "clickstream");
-  finish_span.Arg("items", static_cast<uint64_t>(dictionary_.size()));
-  finish_span.Arg("sessions", sessions_seen_);
-  const size_t num_items = dictionary_.size();
+Result<PreferenceGraph> StreamingGraphBuilder::Finish(
+    const ItemDictionary& dictionary) const {
+  const size_t num_items = dictionary.size();
   if (num_items == 0) {
     return Status::FailedPrecondition("no items observed");
   }
@@ -70,14 +56,17 @@ Result<PreferenceGraph> StreamingGraphBuilder::Finish() const {
     return Status::FailedPrecondition(
         "no purchase sessions observed; cannot infer preferences");
   }
+  PREFCOVER_CHECK_MSG(purchase_count_.size() <= num_items,
+                      "purchase id not in the dictionary");
   GraphBuilder builder;
   builder.Reserve(num_items, pair_mass_.size());
   for (ItemId item = 0; item < num_items; ++item) {
-    builder.AddNode(static_cast<double>(purchase_count_[item]) /
+    const uint64_t purchases =
+        item < purchase_count_.size() ? purchase_count_[item] : 0;
+    builder.AddNode(static_cast<double>(purchases) /
                         static_cast<double>(purchases_seen_),
-                    dictionary_.Name(item));
+                    dictionary.Name(item));
   }
-  uint64_t edges_emitted = 0;
   for (const auto& [key, mass] : pair_mass_) {
     ItemId from = static_cast<ItemId>(key >> 32);
     ItemId to = static_cast<ItemId>(key & 0xFFFFFFFFu);
@@ -85,63 +74,36 @@ Result<PreferenceGraph> StreamingGraphBuilder::Finish() const {
         purchase_count_[from] < options_.min_purchases_for_edges) {
       continue;
     }
-    double weight =
-        mass / static_cast<double>(purchase_count_[from]);
+    double weight = mass / static_cast<double>(purchase_count_[from]);
+    // Fractional accumulation can land a hair above 1 (e.g. every session
+    // clicking the same single alternative); clamp the fp excess.
     if (weight > 1.0) weight = 1.0;
     if (weight < options_.min_edge_weight) continue;
     PREFCOVER_RETURN_NOT_OK(builder.AddEdge(from, to, weight));
-    ++edges_emitted;
   }
-  edges_counter_->Increment(edges_emitted);
-  finish_span.Arg("edges", edges_emitted);
   GraphValidationOptions validation;
   validation.require_normalized_out_weights =
       options_.variant == Variant::kNormalized;
+  // Edge dropping can only lower out-sums, so Normalized admissibility is
+  // preserved by construction.
   return builder.Finalize(validation);
 }
 
 Result<PreferenceGraph> BuildPreferenceGraphStreaming(
     std::istream* events, const GraphConstructionOptions& options) {
   obs::Span build_span("clickstream.build", "clickstream");
+  ItemDictionary dictionary;
   StreamingGraphBuilder builder(options);
-  CsvReader reader(events);
-  std::vector<std::string> fields;
-  bool header = true;
-  bool has_dwell_column = false;
-  std::string current_sid;
-  bool have_session = false;
   uint64_t rows = 0;
-  Session current;
-
-  auto flush = [&builder, &current]() {
-    obs::Span flush_span("clickstream.flush", "clickstream");
-    flush_span.Arg("clicks", static_cast<uint64_t>(current.clicks.size()));
-    builder.AddSession(std::move(current));
-    current = Session();
-  };
-
-  while (reader.Next(&fields)) {
-    if (header) {
-      header = false;
-      if ((fields.size() != 3 && fields.size() != 4) ||
-          fields[0] != "session_id") {
-        return Status::InvalidArgument(
-            "clickstream CSV must start with session_id,event_type,item_id"
-            "[,dwell_seconds]");
-      }
-      has_dwell_column = fields.size() == 4;
-      continue;
-    }
-    ++rows;
-    if (fields.size() != (has_dwell_column ? 4u : 3u)) {
-      return Status::InvalidArgument(
-          "clickstream record " + std::to_string(reader.record_number()) +
-          " has the wrong field count");
-    }
-    const std::string& sid = fields[0];
-    if (!have_session || sid != current_sid) {
-      if (have_session) {
-        flush();
+  PREFCOVER_RETURN_NOT_OK(DecodeClickstreamCsv(
+      events, &dictionary,
+      [&options, &builder, &rows](std::string_view, Session* session) {
+        obs::Span flush_span("clickstream.flush", "clickstream");
+        flush_span.Arg("clicks",
+                       static_cast<uint64_t>(session->clicks.size()));
+        // Every record is one click or the purchase.
+        rows += session->clicks.size() + (session->HasPurchase() ? 1 : 0);
+        builder.AddSession(*session);
         // Session boundaries are the construction's round boundaries:
         // cheap (one flag read per session, not per row) and always at a
         // consistent point — no half-consumed session ever reaches the
@@ -151,44 +113,27 @@ Result<PreferenceGraph> BuildPreferenceGraphStreaming(
               "graph construction cancelled after " +
               std::to_string(builder.sessions_seen()) + " sessions");
         }
-      }
-      current_sid = sid;
-      have_session = true;
-    }
-    ItemId item = builder.InternItem(fields[2]);
-    if (fields[1] == "click") {
-      current.clicks.push_back(item);
-      if (has_dwell_column) {
-        double dwell = -1.0;
-        if (!fields[3].empty()) {
-          auto parsed = ParseDouble(fields[3]);
-          if (!parsed.ok()) {
-            return Status::InvalidArgument(
-                "bad dwell value in record " +
-                std::to_string(reader.record_number()));
-          }
-          dwell = *parsed;
-        }
-        current.dwell_seconds.push_back(dwell);
-      }
-    } else if (fields[1] == "purchase") {
-      if (current.HasPurchase()) {
-        return Status::InvalidArgument("session '" + sid +
-                                       "' has multiple purchases");
-      }
-      current.purchase = item;
-    } else {
-      return Status::InvalidArgument("unknown event type '" + fields[1] +
-                                     "'");
-    }
-  }
-  PREFCOVER_RETURN_NOT_OK(reader.status());
-  if (have_session) flush();
-  obs::MetricsRegistry::Global().GetCounter("clickstream.rows")
-      ->Increment(rows);
+        return Status::OK();
+      }));
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.GetCounter("clickstream.rows")->Increment(rows);
+  metrics.GetCounter("clickstream.sessions")
+      ->Increment(builder.sessions_seen());
+  metrics.GetCounter("clickstream.purchases")
+      ->Increment(builder.purchases_seen());
   build_span.Arg("rows", rows);
   build_span.Arg("sessions", builder.sessions_seen());
-  return builder.Finish();
+
+  obs::Span finish_span("clickstream.finish", "clickstream");
+  finish_span.Arg("items", static_cast<uint64_t>(dictionary.size()));
+  finish_span.Arg("sessions", builder.sessions_seen());
+  Result<PreferenceGraph> graph = builder.Finish(dictionary);
+  if (graph.ok()) {
+    const uint64_t edges = graph->NumEdges();
+    metrics.GetCounter("clickstream.edges")->Increment(edges);
+    finish_span.Arg("edges", edges);
+  }
+  return graph;
 }
 
 Result<PreferenceGraph> BuildPreferenceGraphStreamingFile(

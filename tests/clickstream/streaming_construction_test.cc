@@ -1,12 +1,16 @@
 #include "clickstream/streaming_construction.h"
 
+#include <array>
 #include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "clickstream/clickstream_io.h"
+#include "core/checkpoint.h"
+#include "obs/metrics.h"
 #include "synth/dataset_profiles.h"
+#include "util/random.h"
 
 namespace prefcover {
 namespace {
@@ -83,21 +87,103 @@ TEST(StreamingParityTest, FiltersMatchInMemory) {
   ExpectSameGraph(*in_memory, *streaming);
 }
 
+// Both builds count through one StreamingGraphBuilder, so their graphs
+// have one digest on every profile, under both variants, and with dwell
+// data read back from the CSV's fourth column.
+TEST(StreamingParityTest, SameDigestOnEveryProfileVariantAndDwell) {
+  for (DatasetProfile profile :
+       {DatasetProfile::kPE, DatasetProfile::kPF, DatasetProfile::kPM,
+        DatasetProfile::kYC}) {
+    auto cs = GenerateProfileClickstream(profile, 0.0005, 5);
+    ASSERT_TRUE(cs.ok());
+    for (bool with_dwell : {false, true}) {
+      Clickstream source;
+      *source.mutable_dictionary() = cs->dictionary();
+      Rng rng(17);
+      for (Session session : cs->sessions()) {
+        for (size_t c = 0; with_dwell && c < session.clicks.size(); ++c) {
+          session.dwell_seconds.push_back(
+              rng.NextBernoulli(0.1) ? -1.0 : rng.NextDouble(0.0, 40.0));
+        }
+        source.AddSession(std::move(session));
+      }
+      std::ostringstream out;
+      ASSERT_TRUE(WriteClickstreamCsv(source, &out).ok());
+      const std::string csv = out.str();
+      ASSERT_EQ(csv.find("dwell_seconds") != std::string::npos, with_dwell);
+      for (Variant variant : {Variant::kIndependent, Variant::kNormalized}) {
+        const std::string label = std::string(GetProfileSpec(profile).name) +
+                                  (with_dwell ? " dwell " : " ") +
+                                  std::string(VariantName(variant));
+        GraphConstructionOptions options;
+        options.variant = variant;
+        if (with_dwell) options.dwell_saturation_seconds = 20.0;
+        std::istringstream batch_src(csv);
+        auto reloaded = ReadClickstreamCsv(&batch_src);
+        ASSERT_TRUE(reloaded.ok()) << label;
+        auto in_memory = BuildPreferenceGraph(*reloaded, options);
+        std::istringstream streaming_src(csv);
+        auto streaming = BuildPreferenceGraphStreaming(&streaming_src, options);
+        ASSERT_TRUE(in_memory.ok() && streaming.ok()) << label;
+        EXPECT_GT(in_memory->NumEdges(), 0u) << label;
+        EXPECT_EQ(GraphDigest(*in_memory), GraphDigest(*streaming)) << label;
+      }
+    }
+  }
+}
+
+// clickstream.rows, .sessions, .purchases and .edges count the streaming
+// construction, bumped once per build from its totals; reading and
+// building in memory leaves them alone.
+TEST(StreamingCountersTest, DeltasEqualOneStreamingBuildsTotals) {
+  const std::string csv =
+      "session_id,event_type,item_id\n"
+      "0,click,b\n0,click,b\n0,purchase,a\n"
+      "1,click,c\n"  // browse-only
+      "2,click,a\n2,click,c\n2,purchase,b\n"
+      "3,purchase,a\n";
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  auto counters = [&metrics] {
+    return std::array<uint64_t, 4>{
+        metrics.GetCounter("clickstream.rows")->Value(),
+        metrics.GetCounter("clickstream.sessions")->Value(),
+        metrics.GetCounter("clickstream.purchases")->Value(),
+        metrics.GetCounter("clickstream.edges")->Value()};
+  };
+  const std::array<uint64_t, 4> before = counters();
+  std::istringstream streaming_src(csv);
+  auto streamed = BuildPreferenceGraphStreaming(&streaming_src);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  const std::array<uint64_t, 4> after = counters();
+  EXPECT_EQ(after[0] - before[0], 8u);  // records
+  EXPECT_EQ(after[1] - before[1], 4u);  // sessions
+  EXPECT_EQ(after[2] - before[2], 3u);  // purchase sessions
+  EXPECT_EQ(after[3] - before[3], streamed->NumEdges());
+  EXPECT_EQ(streamed->NumEdges(), 3u);  // a->b, b->a, b->c
+
+  std::istringstream batch_src(csv);
+  auto reloaded = ReadClickstreamCsv(&batch_src);
+  ASSERT_TRUE(reloaded.ok());
+  ASSERT_TRUE(BuildPreferenceGraph(*reloaded).ok());
+  EXPECT_EQ(counters(), after);
+}
+
 TEST(StreamingBuilderTest, IncrementalSessionsApi) {
   StreamingGraphBuilder builder;
-  ItemId silver = builder.InternItem("silver");
-  ItemId gold = builder.InternItem("gold");
+  ItemDictionary dictionary;
+  ItemId silver = dictionary.Intern("silver");
+  ItemId gold = dictionary.Intern("gold");
   Session s1;
   s1.clicks = {gold};
   s1.purchase = silver;
-  builder.AddSession(std::move(s1));
+  builder.AddSession(s1);
   Session s2;
   s2.purchase = silver;
-  builder.AddSession(std::move(s2));
+  builder.AddSession(s2);
   EXPECT_EQ(builder.sessions_seen(), 2u);
   EXPECT_EQ(builder.purchases_seen(), 2u);
 
-  auto g = builder.Finish();
+  auto g = builder.Finish(dictionary);
   ASSERT_TRUE(g.ok());
   EXPECT_DOUBLE_EQ(g->NodeWeight(silver), 1.0);
   EXPECT_DOUBLE_EQ(g->EdgeWeight(silver, gold), 0.5);
@@ -106,19 +192,20 @@ TEST(StreamingBuilderTest, IncrementalSessionsApi) {
   Session s3;
   s3.clicks = {gold};
   s3.purchase = silver;
-  builder.AddSession(std::move(s3));
-  auto g2 = builder.Finish();
+  builder.AddSession(s3);
+  auto g2 = builder.Finish(dictionary);
   ASSERT_TRUE(g2.ok());
   EXPECT_NEAR(g2->EdgeWeight(silver, gold), 2.0 / 3.0, 1e-12);
 }
 
 TEST(StreamingBuilderTest, NoPurchasesFails) {
   StreamingGraphBuilder builder;
-  builder.InternItem("x");
+  ItemDictionary dictionary;
+  dictionary.Intern("x");
   Session s;
   s.clicks = {0};
-  builder.AddSession(std::move(s));
-  EXPECT_TRUE(builder.Finish().status().IsFailedPrecondition());
+  builder.AddSession(s);
+  EXPECT_TRUE(builder.Finish(dictionary).status().IsFailedPrecondition());
 }
 
 TEST(StreamingCsvTest, MalformedInputRejected) {

@@ -109,6 +109,34 @@ Clickstream MakeStream(
   return cs;
 }
 
+// ComputeStats counts each purchase session's distinct alternatives in
+// place; it must agree with the count taken through
+// Session::Alternatives().size().
+void ExpectStatsMatchAlternatives(const Clickstream& cs,
+                                  const std::string& label) {
+  size_t purchases = 0;
+  size_t alternative_total = 0;
+  size_t at_most_one = 0;
+  for (const Session& session : cs.sessions()) {
+    if (!session.HasPurchase()) continue;
+    ++purchases;
+    const size_t alts = session.Alternatives().size();
+    alternative_total += alts;
+    if (alts <= 1) ++at_most_one;
+  }
+  const ClickstreamStats stats = cs.ComputeStats();
+  ASSERT_EQ(stats.num_purchases, purchases) << label;
+  ASSERT_GT(purchases, 0u) << label;
+  EXPECT_EQ(stats.mean_alternatives, static_cast<double>(alternative_total) /
+                                         static_cast<double>(purchases))
+      << label;
+  EXPECT_EQ(stats.at_most_one_alternative_share,
+            static_cast<double>(at_most_one) / static_cast<double>(purchases))
+      << label;
+  EXPECT_EQ(NormalizedFitShare(cs), stats.at_most_one_alternative_share)
+      << label;
+}
+
 // Builds a clickstream of `sessions` purchases of one item, where each
 // session's alternative clicks come from `pattern(session_index)`.
 template <typename PatternFn>
@@ -237,6 +265,39 @@ TEST(IndependenceMeasureReferenceTest, PurchaseAmongItsOwnClicks) {
                                   {1, {1, 0, 2}},
                                   {1, {2, 1}}});
   ExpectMatchesReference(cs, "purchase clicked");
+}
+
+TEST(ComputeStatsReferenceTest, MatchesAlternativesOnEveryProfile) {
+  for (DatasetProfile profile :
+       {DatasetProfile::kPE, DatasetProfile::kPF, DatasetProfile::kPM,
+        DatasetProfile::kYC}) {
+    for (uint64_t seed : {3u, 8u}) {
+      auto cs = GenerateProfileClickstream(profile, 0.0005, seed);
+      ASSERT_TRUE(cs.ok());
+      ExpectStatsMatchAlternatives(
+          *cs, std::string(GetProfileSpec(profile).name) + " seed " +
+                   std::to_string(seed));
+    }
+  }
+}
+
+TEST(ComputeStatsReferenceTest, RepeatedClicksAndPurchaseAmongItsClicks) {
+  // Sessions that click one alternative several times, click their own
+  // purchase (once or more), or both; one consecutive pair shares items.
+  Clickstream cs = MakeStream(4, {{0, {1, 1}},
+                                  {0, {1, 2, 1, 2}},
+                                  {0, {0, 1}},
+                                  {1, {1, 1, 0}},
+                                  {2, {2, 0, 2, 3, 0}},
+                                  {-1, {1, 1, 2}},
+                                  {3, {}},
+                                  {3, {3, 3}}});
+  ExpectStatsMatchAlternatives(cs, "repeated clicks");
+  const ClickstreamStats stats = cs.ComputeStats();
+  // Alternatives per purchase session: 1, 2, 1, 1, 2, 0, 0.
+  EXPECT_EQ(stats.num_purchases, 7u);
+  EXPECT_DOUBLE_EQ(stats.mean_alternatives, 7.0 / 7.0);
+  EXPECT_DOUBLE_EQ(stats.at_most_one_alternative_share, 5.0 / 7.0);
 }
 
 TEST(IndependenceMeasureReferenceTest, TiedCountsBeyondTheCap) {

@@ -238,6 +238,51 @@ int RunCliStderr(const std::string& command_line, std::string* stderr_out) {
   return rc == -1 ? -1 : WEXITSTATUS(rc);
 }
 
+// A session id seen again after other sessions: `construct` reads the CSV
+// into memory and refuses it, while the streaming construction behind
+// `construct --streaming` and `solve --clicks` starts a new session, as
+// both commands' help says.
+TEST_F(CliPipelineTest, ReappearingSessionIdRefusedOnlyInMemory) {
+  const std::string clicks = TempPath("interleaved.csv");
+  {
+    std::ofstream out(clicks);
+    out << "session_id,event_type,item_id\n"
+           "0,click,x\n1,click,y\n1,purchase,x\n0,click,y\n0,purchase,x\n";
+  }
+  std::string err;
+  EXPECT_EQ(RunCliStderr(CliPath() + " construct --input=" + clicks +
+                             " --variant=independent --out=" +
+                             TempPath("graph.pcg"),
+                         &err),
+            1);
+  EXPECT_NE(err.find("session '0' reappears after other sessions"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(RunCliStderr(CliPath() + " construct --input=" + clicks +
+                             " --streaming --variant=independent --out=" +
+                             TempPath("streamed.pcg"),
+                         &err),
+            0)
+      << err;
+  EXPECT_EQ(RunCliStderr(CliPath() + " solve --clicks=" + clicks +
+                             " --variant=independent --k=1",
+                         &err),
+            0)
+      << err;
+  for (const std::string command : {"construct", "solve"}) {
+    const std::string help = TempPath(command + "_help.txt");
+    ASSERT_EQ(std::system((CliPath() + " " + command + " --help > " + help)
+                              .c_str()),
+              0);
+    std::ostringstream text;
+    text << std::ifstream(help).rdbuf();
+    EXPECT_NE(text.str().find("A session id seen again after other sessions "
+                              "starts a new session"),
+              std::string::npos)
+        << command;
+  }
+}
+
 TEST_F(CliPipelineTest, SolveRejectsNegativeThreads) {
   SetUpPipeline();
   for (const char* algorithm : {"parallel", "lazy-parallel"}) {

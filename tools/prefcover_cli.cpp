@@ -148,7 +148,8 @@ int CmdConstruct(int argc, char** argv) {
   flags.AddBool("streaming", false,
                 "single-pass construction without loading sessions into "
                 "memory (for very large inputs; requires an explicit "
-                "--variant)");
+                "--variant). A session id seen again after other sessions "
+                "starts a new session");
   if (int rc = ParseOrExit(&flags, argc, argv); rc != 0) return rc == 2 ? 0 : 1;
 
   GraphConstructionOptions options;
@@ -439,7 +440,8 @@ int CmdSolve(int argc, char** argv) {
   flags.AddString("clicks", "",
                   "clickstream CSV to construct the graph from in-process "
                   "(streaming, instead of --graph; requires an explicit "
-                  "--variant)");
+                  "--variant). A session id seen again after other "
+                  "sessions starts a new session");
   flags.AddString("trace_out", "",
                   "write a Chrome trace-event JSON of this run to the "
                   "path (open in Perfetto / chrome://tracing)");
