@@ -9,13 +9,14 @@
 // consecutive records with one id, so a file sorted by session streams in
 // one pass whatever its size.
 //
-// DecodeClickstreamCsv is the one decoder of this format: the in-memory
+// DecodeClickstreamCsv is the one decoder of this format. The in-memory
 // reader below and the streaming construction (streaming_construction.h)
-// differ only in what they do with each finished session. They differ in
-// one rule: ReadClickstreamCsv rejects a session id that reappears after
-// other sessions, while the streaming construction takes it as a new
-// session. Remembering every finished id cost the streaming pass about 30%
-// of its time and memory that grows with the session count.
+// both run it and differ only in what they do with each finished session,
+// which leaves one rule apart: ReadClickstreamCsv rejects a session id
+// that reappears after other sessions, while the streaming construction
+// takes it as a new session. Remembering every finished id would cost the
+// streaming pass 15-37% more time on the end-to-end benchmark's CSVs, and
+// memory that grows with the session count.
 
 #ifndef PREFCOVER_CLICKSTREAM_CLICKSTREAM_IO_H_
 #define PREFCOVER_CLICKSTREAM_CLICKSTREAM_IO_H_

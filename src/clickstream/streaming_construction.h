@@ -61,7 +61,7 @@ class StreamingGraphBuilder {
 /// The one difference from ReadClickstreamCsv: a session id that
 /// reappears after other sessions starts a new session rather than being
 /// rejected, because remembering every finished id would make the pass's
-/// memory grow with the session count (and cost about 30% of its time).
+/// memory grow with the session count (and cost 15-37% more time).
 ///
 /// Bumps the counters clickstream.rows, .sessions, .purchases and .edges
 /// once per call, from its totals.

@@ -364,6 +364,22 @@ TEST(StreamingCsvTest, HandcraftedLogMatchesBatchConstruction) {
   }
 }
 
+// The streaming sink reads the cancel token at each session boundary, so a
+// tripped token stops the build after a whole session, never mid-session.
+TEST(StreamingCsvTest, TrippedCancelTokenStopsAtASessionBoundary) {
+  CancelToken token;
+  token.Cancel();
+  GraphConstructionOptions options;
+  options.cancel = &token;
+  std::istringstream src(
+      "session_id,event_type,item_id\n"
+      "0,click,b\n0,purchase,a\n1,purchase,b\n");
+  auto g = BuildPreferenceGraphStreaming(&src, options);
+  ASSERT_TRUE(g.status().IsCancelled()) << g.status().ToString();
+  EXPECT_EQ(g.status().message(),
+            "graph construction cancelled after 1 sessions");
+}
+
 TEST(StreamingCsvTest, FilePathConvenience) {
   auto missing = BuildPreferenceGraphStreamingFile("/no/such/file.csv");
   EXPECT_TRUE(missing.status().IsIOError());
