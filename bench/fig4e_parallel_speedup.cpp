@@ -69,7 +69,9 @@ int main(int argc, char** argv) {
 
   // Both parallel executions at every width, with the solver telemetry
   // that makes the lazy pruning visible: the lazy-parallel path must
-  // evaluate strictly fewer gains than the exhaustive parallel scan.
+  // evaluate strictly fewer gains than the exhaustive parallel scan. At
+  // the default seed lazy-parallel's seed walks the bound order on the
+  // calling thread, so only the scan's time falls with the width.
   struct Algo {
     const char* id;
     Result<Solution> (*solve)(const PreferenceGraph&, size_t, ThreadPool*,

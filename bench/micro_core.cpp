@@ -368,9 +368,11 @@ int main(int argc, char** argv) {
     run_or_die(bench_case);
   }
 
-  // Sharded CELF, one case per pool width (one engine per pool thread);
-  // the telemetry counters expose how much work the pruning saves vs.
-  // the full O(nk) scan.
+  // Lazy-parallel, one case per pool width: lazy's one CELF engine with
+  // a pool for its sweep seed. At these sizes the default seed walks, so
+  // no case dispatches and every width does lazy's work; the telemetry
+  // counters expose how much work the pruning saves vs. the full O(nk)
+  // scan.
   {
     struct ParallelConfig {
       uint32_t n;

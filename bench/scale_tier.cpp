@@ -1,9 +1,9 @@
 // Scale-tier benchmark: the pinned large-instance suite behind the
 // nightly perf-smoke job. Generates the tier's Zipf-skewed PE-shaped
 // graph (S=20K, M=200K, L=1M, XL=10M nodes) and times graph generation
-// plus the sharded-CELF lazy-parallel solve at the tier's pinned budget
-// (k=100), emitting the machine-readable BENCH_core.json trajectory
-// record.
+// plus the lazy-parallel solve (one CELF engine, pooled sweep seed) at
+// the tier's pinned budget (k=100), emitting the machine-readable
+// BENCH_core.json trajectory record.
 //
 // --dist_workers=N additionally times the distributed sharded greedy
 // (SolveGreedyDistributed) against N in-process dist-worker servers on
@@ -114,10 +114,11 @@ int main(int argc, char** argv) {
   env.flags.AddBool(
       "full_seed", false,
       "run the solve/lazy and solve/dist* cases with an exhaustive CELF "
-      "seed (seed_heap_capacity = n, the classic exact first pass) "
-      "instead of the bound-ordered capped default — the configuration "
-      "the nightly distributed perf gate compares under, where seeding "
-      "work dominates and sharding it across workers pays");
+      "seed (seed_heap_capacity = n, the classic exact first pass, which "
+      "sweeps every gain) instead of the bound-ordered capped default — "
+      "the configuration the nightly distributed perf gate compares "
+      "under, where seeding work dominates and sharding it across "
+      "workers pays");
   AddBenchFlags(&env.flags, /*default_reps=*/3, /*default_warmup=*/1);
   Status st = env.Parse(argc, argv);
   if (st.IsOutOfRange()) return 0;

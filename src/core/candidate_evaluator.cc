@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "obs/trace.h"
+#include "util/parallel_for.h"
 
 namespace prefcover {
 
@@ -11,7 +12,7 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-// Collect-and-compact top-cap selection shared by both seed walks:
+// Collect-and-compact top-cap selection shared by the walk and the sweep:
 // candidates above the running threshold are appended to a 2*cap buffer
 // cut back to the exact top `cap` (nth_element by pair order) whenever it
 // fills — O(1) amortized per survivor instead of a push_heap. (key, id)
@@ -69,13 +70,6 @@ class SeedKeeper {
 
 }  // namespace
 
-size_t ShardSeedCapacity(size_t seed_heap_capacity, size_t shards) {
-  const size_t cap = seed_heap_capacity > 0 ? seed_heap_capacity
-                                            : kDefaultSeedHeapCapacity;
-  shards = std::max<size_t>(shards, 1);
-  return cap / shards + (cap % shards != 0 ? 1 : 0);
-}
-
 CelfShardEngine::CelfShardEngine(const CoverState* state,
                                  const Bitset* excluded,
                                  const Config& config)
@@ -84,7 +78,8 @@ CelfShardEngine::CelfShardEngine(const CoverState* state,
       shard_end_(std::min(config.shard_end, state->graph().NumNodes())),
       costs_(config.costs),
       min_cost_(costs_.empty() ? 1.0 : std::ranges::min(costs_)),
-      filter_(config.filter) {
+      filter_(config.filter),
+      pool_(config.pool) {
   shard_begin_ = std::min(config.shard_begin, shard_end_);
   const size_t cap = config.seed_heap_capacity > 0
                          ? config.seed_heap_capacity
@@ -93,12 +88,13 @@ CelfShardEngine::CelfShardEngine(const CoverState* state,
 }
 
 void CelfShardEngine::Reseed() {
+  const size_t shard_size = shard_end_ - shard_begin_;
   obs::Span seed_span("solver.init_heap", "solver");
-  seed_span.Arg("n", static_cast<uint64_t>(shard_end_ - shard_begin_));
+  seed_span.Arg("n", static_cast<uint64_t>(shard_size));
   SeedKeeper keeper(seed_cap_, round_);
-  if (shard_begin_ == shard_end_) {
-    // An empty shard has nothing to seed (and nothing to walk for).
-  } else if (state_->simd_level() != SimdLevel::kScalar) {
+  if (seed_cap_ < shard_size) {
+    // The seed can cut candidates: walk the static-bound order until
+    // every remaining bound is below the cut.
     const PreferenceGraph& graph = state_->graph();
     const std::span<const double> bounds = graph.StaticGainBounds();
     const Bitset& retained = state_->retained();
@@ -111,13 +107,21 @@ void CelfShardEngine::Reseed() {
       ++counters_.gain_evaluations;
       keeper.Offer(Key(v, state_->GainOf(v)), v);
     }
-  } else {
-    // Scalar tier: one batch gain sweep over the shard. The buffer is
-    // indexed by absolute node id (GainsInto's contract), so it spans
-    // [0, shard_end_) even for a tail shard; allocated once and reused
-    // across refills.
+  } else if (shard_size > 0) {
+    // The seed keeps every candidate, so the keeper never compacts, its
+    // cut stays -inf and no walk could stop early: sweep the shard in id
+    // order with one batch gain pass instead. The buffer is indexed by
+    // absolute node id (GainsInto's contract), so it spans [0, shard_end_)
+    // even for a tail shard; allocated once and reused across refills.
     if (gains_.empty()) gains_.resize(shard_end_);
-    state_->GainsInto(shard_begin_, shard_end_, gains_);
+    ParallelForChunked(pool_, shard_begin_, shard_end_,
+                       [this](size_t lo, size_t hi, size_t) {
+                         state_->GainsInto(lo, hi, gains_);
+                       });
+    if (pool_ != nullptr) {
+      ++counters_.parallel_batches;
+      counters_.parallel_items += shard_size;
+    }
     ForEachCandidateInRange(state_->retained(), *excluded_, shard_begin_,
                             shard_end_, [&](NodeId v) {
                               if (!Admissible(v)) return;

@@ -5,9 +5,9 @@
 //   - the scan evaluator (SolveGreedy / SolveGreedyParallel): every round
 //     computes every candidate's exact gain, in chunks on an optional
 //     pool;
-//   - the CELF evaluator (SolveGreedyLazy / SolveGreedyLazyParallel): N
-//     CelfShardEngines over contiguous shards, seeded in one pool
-//     dispatch, every round after that on the calling thread;
+//   - the CELF evaluator (SolveGreedyLazy / SolveGreedyLazyParallel): one
+//     CelfShardEngine over [0, n); lazy-parallel hands it the pool, which
+//     only a sweep seed uses;
 //   - the constrained evaluator (SolveConstrainedCover): one
 //     CelfShardEngine keyed by gain/cost with an admissibility filter;
 //   - DistributedCandidateEvaluator (src/dist/distributed_solver.h): the
@@ -27,11 +27,12 @@
 //                     shared CoverState; the evaluator updates its own
 //                     bookkeeping (heap round, remote shard residuals).
 //
-// Shard decomposition (the GreeDIMM argument): candidates are partitioned
-// across engines, every engine sees the full residual state, and the max
-// over per-shard exact argmaxes (BetterProposal) is the global exact
-// argmax. The greedy selection sequence — and therefore the (1 - 1/e)
-// guarantee — survives the decomposition unchanged.
+// Shard decomposition (the GreeDIMM argument): when candidates are
+// partitioned — the scan's chunks, the distributed workers' shards —
+// every part sees the full residual state, and the max over per-part
+// exact argmaxes (BetterProposal) is the global exact argmax. The greedy
+// selection sequence — and therefore the (1 - 1/e) guarantee — survives
+// the decomposition unchanged.
 
 #ifndef PREFCOVER_CORE_CANDIDATE_EVALUATOR_H_
 #define PREFCOVER_CORE_CANDIDATE_EVALUATOR_H_
@@ -48,6 +49,7 @@
 #include "graph/preference_graph.h"
 #include "util/bitset.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace prefcover {
 
@@ -224,17 +226,10 @@ class CandidateFilter {
 /// seed_heap_capacity == 0).
 inline constexpr size_t kDefaultSeedHeapCapacity = 1024;
 
-/// \brief Per-shard seed capacity when `shards` engines split the
-/// candidate range: ceil(T / shards), where T is `seed_heap_capacity`
-/// (0 = the default). The one rule the in-process CELF evaluator and the
-/// distributed coordinator share; T = n stays exhaustive, since no shard
-/// is larger than ceil(n / shards).
-size_t ShardSeedCapacity(size_t seed_heap_capacity, size_t shards);
-
 /// \brief Lazy CELF over one contiguous candidate shard [begin, end): the
-/// engine of every lazy execution — in-process (one engine, or one per
-/// pool thread), constrained (cost-keyed, filtered) and distributed (one
-/// per worker process).
+/// engine of every lazy execution — in-process (one engine over [0, n)),
+/// constrained (cost-keyed, filtered) and distributed (one per worker
+/// process).
 ///
 /// Propose() settles the heap top to freshness and returns the shard's
 /// exact (key, id)-argmax against the current CoverState — without
@@ -244,15 +239,18 @@ size_t ShardSeedCapacity(size_t seed_heap_capacity, size_t shards);
 /// the engine only advances its round (stored keys become stale upper
 /// bounds) and recycles the held proposal.
 ///
-/// Seeding. Kernel tiers walk the graph's static-bound order evaluating
-/// exact keys and stop once bound(v) / c_min is below the running cut,
+/// Seeding, chosen by capacity. While the seed capacity is smaller than
+/// the shard, the seed walks the graph's static-bound order evaluating
+/// exact keys and stops once bound(v) / c_min is below the running cut,
 /// where c_min is the smallest cost (1 at unit costs). Against any
 /// retained set key(v) <= bound(v) / cost(v) <= bound(v) / c_min, and the
-/// walk descends by bound, so the early exit is exact. The scalar tier is
-/// the literal reference: one batch gain sweep over the shard. Both keep
-/// the exact top `seed_heap_capacity` candidates by (key, id), so every
-/// tier selects identical node sequences; the seed is truncated when it
-/// visited more candidates than it kept.
+/// walk descends by bound, so the early exit is exact. Once the seed
+/// keeps every candidate of the shard no walk could stop early, so the
+/// seed sweeps the shard in id order with one batch gain pass, fanned
+/// over the pool when the caller gave one (one dispatch per sweep). Both
+/// keep the exact top `seed_heap_capacity` candidates by (key, id), so
+/// the work done depends on the capacity only, never on the SIMD tier;
+/// the seed is truncated when it visited more candidates than it kept.
 class CelfShardEngine {
  public:
   struct Config {
@@ -266,6 +264,8 @@ class CelfShardEngine {
     std::span<const double> costs;
     /// Extra admissibility test; nullptr = none.
     const CandidateFilter* filter = nullptr;
+    /// Pool for the sweep seed's gain pass; nullptr = the calling thread.
+    ThreadPool* pool = nullptr;
   };
 
   /// `state`, `excluded` and everything `config` points to must outlive
@@ -285,6 +285,9 @@ class CelfShardEngine {
 
   void DrainCounters(EvaluatorCounters* into) { into->MergeFrom(&counters_); }
 
+  /// c_min: the smallest cost, 1 at unit costs.
+  double min_cost() const { return min_cost_; }
+
  private:
   void Reseed();
   double Key(NodeId v, double gain) const {
@@ -302,6 +305,7 @@ class CelfShardEngine {
   std::span<const double> costs_;
   double min_cost_;  // c_min: the smallest cost, 1 at unit costs
   const CandidateFilter* filter_;
+  ThreadPool* pool_;
 
   CelfSeededHeap seeded_;
   bool seeded_once_ = false;
@@ -310,8 +314,8 @@ class CelfShardEngine {
   /// until OnCommitted decides its fate (winner: dropped; loser:
   /// reinserted, becoming a stale upper bound for the next round).
   std::optional<CelfHeapEntry> pending_;
-  /// Scalar-tier seed scratch (gains indexed by node id; sized to
-  /// shard_end_ on first use).
+  /// Sweep-seed scratch (gains indexed by node id; sized to shard_end_ on
+  /// first use).
   std::vector<double> gains_;
 
   EvaluatorCounters counters_;

@@ -93,6 +93,8 @@ class ConstrainedEvaluator final : public CandidateEvaluator,
 
   Result<CandidateProposal> BestCandidate() override {
     if (total_deficit_ > 0) return QuotaFill();
+    // No item costs less than c_min, so nothing is affordable any more.
+    if (remaining_ < engine_.min_cost()) return CandidateProposal{};
     return engine_.Propose();
   }
 

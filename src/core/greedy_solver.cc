@@ -363,57 +363,26 @@ class ScanEvaluator final : public CandidateEvaluator {
   EvaluatorCounters counters_;
 };
 
-// The lazy executions: one CelfShardEngine per contiguous shard — one
-// shard without a pool (SolveGreedyLazy), one per pool thread otherwise
-// (SolveGreedyLazyParallel). The first round seeds every shard in one
-// pool dispatch, the only work large enough to pay for one; every round
-// then proposes each shard's exact argmax on the calling thread, in shard
-// order, and merges them with BetterProposal, the same merge the
-// distributed coordinator runs over worker processes.
+// The lazy executions: one CelfShardEngine over [0, n). Lazy-parallel
+// hands it the pool, which only a sweep seed uses; every round runs on the
+// calling thread.
 class CelfEvaluator final : public CandidateEvaluator {
  public:
   CelfEvaluator(const EvaluatorContext& context, ThreadPool* pool)
-      : pool_(pool) {
-    const size_t n = context.graph->NumNodes();
-    const size_t shards = pool == nullptr ? 1 : pool->num_threads();
-    CelfShardEngine::Config config;
-    config.seed_heap_capacity =
-        ShardSeedCapacity(context.options->seed_heap_capacity, shards);
-    engines_.reserve(shards);
-    for (size_t j = 0; j < shards; ++j) {
-      config.shard_begin = n * j / shards;
-      config.shard_end = n * (j + 1) / shards;
-      engines_.emplace_back(context.state, context.excluded, config);
-    }
-  }
+      : pool_(pool),
+        engine_(context.state, context.excluded, EngineConfig(context, pool)) {}
 
   Result<CandidateProposal> BestCandidate() override {
-    if (!seeded_) {
-      // A shard's first Propose builds its seed heap.
-      seeded_ = true;
-      ParallelFor(pool_, 0, engines_.size(),
-                  [this](size_t j) { engines_[j].Propose(); });
-      if (pool_ != nullptr) {
-        ++counters_.parallel_batches;
-        counters_.parallel_items += engines_.size();
-      }
-    }
-    CandidateProposal best;
-    for (CelfShardEngine& engine : engines_) {
-      const CandidateProposal proposal = engine.Propose();
-      if (BetterProposal(proposal, best)) best = proposal;
-    }
-    return best;
+    return engine_.Propose();
   }
 
   Status CommitWinner(NodeId v) override {
-    for (CelfShardEngine& engine : engines_) engine.OnCommitted(v);
+    engine_.OnCommitted(v);
     return Status::OK();
   }
 
   void DrainCounters(EvaluatorCounters* into) override {
-    into->MergeFrom(&counters_);
-    for (CelfShardEngine& engine : engines_) engine.DrainCounters(into);
+    engine_.DrainCounters(into);
   }
 
   Status Finish(SolverStats* stats) override {
@@ -422,10 +391,17 @@ class CelfEvaluator final : public CandidateEvaluator {
   }
 
  private:
+  static CelfShardEngine::Config EngineConfig(const EvaluatorContext& context,
+                                              ThreadPool* pool) {
+    CelfShardEngine::Config config;
+    config.shard_end = context.graph->NumNodes();
+    config.seed_heap_capacity = context.options->seed_heap_capacity;
+    config.pool = pool;
+    return config;
+  }
+
   ThreadPool* pool_;
-  std::vector<CelfShardEngine> engines_;
-  bool seeded_ = false;
-  EvaluatorCounters counters_;
+  CelfShardEngine engine_;
 };
 
 template <typename Evaluator>

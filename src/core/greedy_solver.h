@@ -13,9 +13,10 @@
 //                    so a candidate's gain only decreases as S grows;
 //                    re-evaluating the heap top until it is fresh selects
 //                    exactly the plain-greedy argmax;
-//   - lazy-parallel: the CELF evaluator with one engine per pool thread,
-//                    each over a contiguous shard. The max of per-shard
-//                    exact argmaxes is the global argmax (see
+//   - lazy-parallel: the same one engine, handed the pool: a seed that
+//                    keeps every candidate sweeps their gains in one pool
+//                    dispatch; a capped seed walks the bound order, so
+//                    lazy-parallel then does exactly lazy's work (see
 //                    docs/ALGORITHMS.md).
 //
 // Ties break to the smaller id in every execution, so all four produce
@@ -100,10 +101,12 @@ struct GreedyOptions {
   /// the top-T candidates by (gain, id) and pulls the cut-off rest back
   /// in through exact threshold refills when the selection front drops
   /// below the cut (counted in `SolverStats::seed_refills`). 0 = default
-  /// (1024); N shards keep ceil(T / N) each (ShardSeedCapacity). The
-  /// selected node sequence is identical for every value — this is
-  /// purely a performance knob; see core/candidate_evaluator.h for the
-  /// exactness argument.
+  /// (1024). A T below n walks the static-bound order; T >= n sweeps
+  /// every gain once (on the pool, for lazy-parallel), and
+  /// N distributed workers keep ceil(T / N) each. The selected node
+  /// sequence is identical for every value — this is purely a
+  /// performance knob; see core/candidate_evaluator.h for the exactness
+  /// argument.
   size_t seed_heap_capacity = 0;
 
   /// Cooperative cancellation (explicit Cancel() or a deadline). Checked
@@ -166,11 +169,13 @@ Result<Solution> SolveGreedyWithEvaluator(
     const PreferenceGraph& graph, size_t k, const GreedyOptions& options,
     const CandidateEvaluatorFactory& factory, const char* algorithm);
 
-/// \brief Sharded lazy greedy: one CELF engine per `pool` thread, each
-/// over a contiguous candidate shard, proposing in one pool dispatch per
-/// round (nullptr degrades to SolveGreedyLazy's single engine). Produces
-/// the same solution as SolveGreedy for any thread count, including
-/// under force_include/force_exclude and stop_at_cover.
+/// \brief Lazy greedy with a pool: SolveGreedyLazy's one CELF engine,
+/// whose sweep seed (a seed capacity that keeps every candidate) runs its
+/// gain pass in one `pool` dispatch; every round runs on the calling
+/// thread, and a capped seed never touches the pool (nullptr = exactly
+/// SolveGreedyLazy). Produces the same solution as SolveGreedy for any
+/// thread count, including under force_include/force_exclude and
+/// stop_at_cover.
 Result<Solution> SolveGreedyLazyParallel(
     const PreferenceGraph& graph, size_t k, ThreadPool* pool,
     const GreedyOptions& options = GreedyOptions());

@@ -66,9 +66,9 @@ struct SolverStats {
   /// the seed.
   uint64_t seed_refills = 0;
 
-  /// Pool dispatches (one per round of a pooled scan, one per solve for
-  /// the shard seed of lazy-parallel) and the total work items they
-  /// carried (candidates scanned, or shards seeded).
+  /// Pool dispatches (one per round of a pooled scan, one per sweep seed
+  /// of lazy-parallel, none for its capped walk seed) and the total work
+  /// items they carried (candidates scanned or swept).
   uint64_t parallel_batches = 0;
   uint64_t parallel_items = 0;
 

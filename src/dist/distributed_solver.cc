@@ -51,6 +51,17 @@ std::optional<std::string_view> ReplyArgs(const std::string& reply,
   return rest;
 }
 
+// Per-worker seed capacity when `shards` workers split the candidate
+// range: ceil(T / shards), where T is `seed_heap_capacity` (0 = the
+// default). T = n stays exhaustive, since no shard is larger than
+// ceil(n / shards), so every worker then sweeps its shard.
+size_t ShardSeedCapacity(size_t seed_heap_capacity, size_t shards) {
+  const size_t cap = seed_heap_capacity > 0 ? seed_heap_capacity
+                                            : kDefaultSeedHeapCapacity;
+  shards = std::max<size_t>(shards, 1);
+  return cap / shards + (cap % shards != 0 ? 1 : 0);
+}
+
 class DistributedCandidateEvaluator : public CandidateEvaluator {
  public:
   static Result<std::unique_ptr<CandidateEvaluator>> Create(
@@ -295,8 +306,7 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
 
   /// Contiguous equal partition of [0, n) over the listed workers (in
   /// their index order; workers beyond the candidate count get an empty
-  /// shard), each seeded with the per-shard capacity the in-process
-  /// sharded solve uses.
+  /// shard), each seeded with ceil(T / workers).
   void AssignShards(const std::vector<size_t>& alive) {
     const size_t n = context_.graph->NumNodes();
     const size_t m = alive.size();

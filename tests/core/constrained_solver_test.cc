@@ -358,6 +358,43 @@ TEST(ConstrainedSolver, UnitCostByteIdentityHoldsAtScale) {
   EXPECT_EQ(greedy->cover_after_prefix, solved->solution.cover_after_prefix);
 }
 
+// Once the remaining budget buys no item, the solve stops without touching
+// the heap: at unit costs a budget of B does exactly the heap work of an
+// unbudgeted solve capped at B items, on a truncated seed (n > 1024) and
+// on an exhaustive one.
+TEST(ConstrainedSolver, SpentUnitBudgetEndsWithoutFurtherHeapWork) {
+  Rng rng(7);
+  UniformGraphParams params;
+  params.num_nodes = 5'000;
+  params.out_degree = 6;
+  params.popularity_skew = 0.9;
+  auto large = GenerateUniformGraph(params, &rng);
+  ASSERT_TRUE(large.ok()) << large.status().ToString();
+  const PreferenceGraph small = MakeSeededGraph(3, Variant::kIndependent);
+  const PreferenceGraph* graphs[] = {&large.value(), &small};
+  for (const PreferenceGraph* g : graphs) {
+    for (size_t budget : {size_t{1}, size_t{17}, size_t{30}}) {
+      const std::string label = "n=" + std::to_string(g->NumNodes()) +
+                                " budget=" + std::to_string(budget);
+      ConstraintSpec spec;
+      spec.budget = static_cast<double>(budget);
+      auto budgeted = SolveConstrainedCover(*g, spec);
+      ConstrainedCoverOptions capped_options;
+      capped_options.max_items = budget;
+      auto capped = SolveConstrainedCover(*g, ConstraintSpec(),
+                                          capped_options);
+      ASSERT_TRUE(budgeted.ok() && capped.ok()) << label;
+      EXPECT_EQ(budgeted->solution.items, capped->solution.items) << label;
+      EXPECT_EQ(budgeted->solution.stats.heap_pops,
+                capped->solution.stats.heap_pops)
+          << label;
+      EXPECT_EQ(budgeted->solution.stats.seed_refills,
+                capped->solution.stats.seed_refills)
+          << label;
+    }
+  }
+}
+
 // --- the (1-1/e)/2 singleton guard --------------------------------------
 
 // The classic budgeted-greedy trap: a cheap low-gain item with the best

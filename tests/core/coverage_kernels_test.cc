@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/constrained_solver.h"
 #include "core/cover_state.h"
 #include "core/greedy_solver.h"
 #include "graph/graph_builder.h"
@@ -316,6 +317,84 @@ TEST(KernelSolverDifferentialTest,
       ExpectSolutionsIdentical(reference.plain, fast.parallel, level_label);
       ExpectSolutionsIdentical(reference.plain, fast.lazy_parallel,
                                level_label);
+    }
+  }
+}
+
+// The four work counters of a lazy solve.
+std::vector<uint64_t> LazyWork(const SolverStats& stats) {
+  return {stats.gain_evaluations, stats.heap_pops, stats.stale_refreshes,
+          stats.seed_refills};
+}
+
+// The seed rule depends on the capacity only, never on the tier: at a
+// capped seed every tier walks the static-bound order, so the lazy and the
+// constrained solve do the same work, not just select the same items, at
+// every level. Capped seeds: 16 on the seeded graphs, and the default
+// (1024) on a 2,500-node graph, plain and cost-keyed under a budget.
+TEST(KernelSolverDifferentialTest,
+     CappedSeedWorkIdenticalAcrossDispatchLevels) {
+  Rng rng(2500);
+  UniformGraphParams params;
+  params.num_nodes = 2'500;
+  params.out_degree = 6;
+  params.popularity_skew = 0.9;
+  auto large = GenerateUniformGraph(params, &rng);
+  ASSERT_TRUE(large.ok()) << large.status().ToString();
+  ConstraintSpec budgeted;
+  budgeted.costs.resize(large->NumNodes());
+  for (size_t v = 0; v < budgeted.costs.size(); ++v) {
+    budgeted.costs[v] = 0.5 + 0.25 * static_cast<double>(v % 5);
+  }
+  budgeted.budget = 60.0;
+
+  // Each solve's work at every level, keyed by a label.
+  const auto solve_all = [&](std::vector<std::string>* labels) {
+    std::vector<std::vector<uint64_t>> work;
+    for (uint64_t seed = 0; seed < kNumSeeds; ++seed) {
+      const Variant variant =
+          seed % 2 == 0 ? Variant::kIndependent : Variant::kNormalized;
+      PreferenceGraph g = MakeSeededGraph(seed, variant);
+      GreedyOptions options;
+      options.variant = variant;
+      options.seed_heap_capacity = 16;
+      auto lazy = SolveGreedyLazy(g, std::max<size_t>(1, g.NumNodes() / 4),
+                                  options);
+      EXPECT_TRUE(lazy.ok());
+      work.push_back(LazyWork(lazy->stats));
+      labels->push_back("lazy seed=" + std::to_string(seed));
+    }
+    auto lazy = SolveGreedyLazy(*large, 200);
+    EXPECT_TRUE(lazy.ok());
+    work.push_back(LazyWork(lazy->stats));
+    labels->push_back("lazy n=2500");
+    ConstrainedCoverOptions options;
+    options.max_items = 200;
+    for (const ConstraintSpec& spec : {ConstraintSpec(), budgeted}) {
+      auto constrained = SolveConstrainedCover(*large, spec, options);
+      EXPECT_TRUE(constrained.ok());
+      work.push_back(LazyWork(constrained->solution.stats));
+      labels->push_back(spec.HasBudget() ? "constrained n=2500 budget"
+                                         : "constrained n=2500");
+    }
+    return work;
+  };
+
+  std::vector<std::string> labels;
+  std::vector<std::vector<uint64_t>> reference;
+  {
+    ScopedSimdLevelEnv env("scalar");
+    reference = solve_all(&labels);
+  }
+  for (SimdLevel level : SupportedLevels()) {
+    if (level == SimdLevel::kScalar) continue;
+    ScopedSimdLevelEnv env(std::string(SimdLevelName(level)).c_str());
+    std::vector<std::string> unused;
+    const std::vector<std::vector<uint64_t>> work = solve_all(&unused);
+    ASSERT_EQ(work.size(), reference.size());
+    for (size_t i = 0; i < work.size(); ++i) {
+      EXPECT_EQ(work[i], reference[i])
+          << labels[i] << " level=" << SimdLevelName(level);
     }
   }
 }

@@ -2,9 +2,9 @@
 //
 // The contract under test: SolveGreedy, SolveGreedyParallel,
 // SolveGreedyLazy and SolveGreedyLazyParallel select byte-identical
-// retained sequences and covers on every instance — for any thread count
-// (which is also the lazy-parallel shard count), with and without
-// force_include / force_exclude / stop_at_cover. ~50 seeded random graphs
+// retained sequences and covers on every instance — for any thread count,
+// with and without force_include / force_exclude / stop_at_cover, and
+// lazy-parallel does lazy's work. ~50 seeded random graphs
 // (Zipf node weights, both variants, varying k/n) plus one instance with
 // fewer live candidates than the widest pool are swept against thread
 // counts {1, 2, 8}.
@@ -203,6 +203,45 @@ TEST(GreedyDifferentialTest, ThresholdSeedCapacitySweepMatchesPlain) {
       // Full-capacity seeds never truncate, so they never refill.
       if (cap >= instance.graph.NumNodes()) {
         EXPECT_EQ(lazy->stats.seed_refills, 0u) << label;
+      }
+    }
+  }
+}
+
+TEST(GreedyDifferentialTest,
+     LazyParallelDoesLazysWorkAndDispatchesOnlyToSweep) {
+  // Lazy-parallel is lazy's one engine with a pool for the sweep seed. At
+  // a capped seed it walks, so it does exactly lazy's work whatever the
+  // pool width and never dispatches; at a full seed it sweeps once, in
+  // one pool dispatch.
+  ThreadPool pool1(1), pool2(2), pool8(8);
+  ThreadPool* pools[] = {&pool1, &pool2, &pool8};
+  for (uint64_t seed = 0; seed <= kNumSeeds; ++seed) {
+    DiffInstance instance =
+        seed < kNumSeeds ? MakeInstance(seed) : MakeFewCandidatesInstance();
+    const size_t n = instance.graph.NumNodes();
+    for (size_t cap : {size_t{16}, n}) {
+      GreedyOptions options = instance.options;
+      options.seed_heap_capacity = cap;
+      auto lazy = SolveGreedyLazy(instance.graph, instance.k, options);
+      ASSERT_TRUE(lazy.ok()) << instance.label;
+      // A search round always seeds (every instance has live candidates).
+      const uint64_t dispatches =
+          cap >= n && lazy->stats.iterations > 0 ? 1 : 0;
+      for (size_t t = 0; t < 3; ++t) {
+        const std::string label = instance.label + " seed_cap=" +
+                                  std::to_string(cap) + " threads=" +
+                                  std::to_string(kThreadCounts[t]);
+        auto lazy_parallel = SolveGreedyLazyParallel(
+            instance.graph, instance.k, pools[t], options);
+        ASSERT_TRUE(lazy_parallel.ok()) << label;
+        const SolverStats& a = lazy->stats;
+        const SolverStats& b = lazy_parallel->stats;
+        EXPECT_EQ(a.gain_evaluations, b.gain_evaluations) << label;
+        EXPECT_EQ(a.heap_pops, b.heap_pops) << label;
+        EXPECT_EQ(a.stale_refreshes, b.stale_refreshes) << label;
+        EXPECT_EQ(a.seed_refills, b.seed_refills) << label;
+        EXPECT_EQ(b.parallel_batches, dispatches) << label;
       }
     }
   }
