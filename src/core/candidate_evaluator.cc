@@ -92,9 +92,7 @@ void CelfShardEngine::Reseed() {
   obs::Span seed_span("solver.init_heap", "solver");
   seed_span.Arg("n", static_cast<uint64_t>(shard_size));
   SeedKeeper keeper(seed_cap_, round_);
-  if (seed_cap_ < shard_size) {
-    // The seed can cut candidates: walk the static-bound order until
-    // every remaining bound is below the cut.
+  if (seed_cap_ < shard_size) {  // the seed can cut: walk the bound order
     const PreferenceGraph& graph = state_->graph();
     const std::span<const double> bounds = graph.StaticGainBounds();
     const Bitset& retained = state_->retained();
@@ -108,11 +106,9 @@ void CelfShardEngine::Reseed() {
       keeper.Offer(Key(v, state_->GainOf(v)), v);
     }
   } else if (shard_size > 0) {
-    // The seed keeps every candidate, so the keeper never compacts, its
-    // cut stays -inf and no walk could stop early: sweep the shard in id
-    // order with one batch gain pass instead. The buffer is indexed by
-    // absolute node id (GainsInto's contract), so it spans [0, shard_end_)
-    // even for a tail shard; allocated once and reused across refills.
+    // The seed keeps every candidate, so its cut stays -inf and no walk
+    // could stop early: sweep in id order. The buffer is indexed by node
+    // id (GainsInto's contract), so it spans [0, shard_end_).
     if (gains_.empty()) gains_.resize(shard_end_);
     ParallelForChunked(pool_, shard_begin_, shard_end_,
                        [this](size_t lo, size_t hi, size_t) {

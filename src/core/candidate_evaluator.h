@@ -27,12 +27,11 @@
 //                     shared CoverState; the evaluator updates its own
 //                     bookkeeping (heap round, remote shard residuals).
 //
-// Shard decomposition (the GreeDIMM argument): when candidates are
-// partitioned — the scan's chunks, the distributed workers' shards —
-// every part sees the full residual state, and the max over per-part
-// exact argmaxes (BetterProposal) is the global exact argmax. The greedy
-// selection sequence — and therefore the (1 - 1/e) guarantee — survives
-// the decomposition unchanged.
+// Shard decomposition (the GreeDIMM argument): candidates are partitioned
+// (scan chunks, dist workers), every part sees the full residual state,
+// and the max over per-part exact argmaxes (BetterProposal) is the global
+// exact argmax. The greedy selection sequence — and therefore the
+// (1 - 1/e) guarantee — survives the decomposition unchanged.
 
 #ifndef PREFCOVER_CORE_CANDIDATE_EVALUATOR_H_
 #define PREFCOVER_CORE_CANDIDATE_EVALUATOR_H_
@@ -239,18 +238,16 @@ inline constexpr size_t kDefaultSeedHeapCapacity = 1024;
 /// the engine only advances its round (stored keys become stale upper
 /// bounds) and recycles the held proposal.
 ///
-/// Seeding, chosen by capacity. While the seed capacity is smaller than
-/// the shard, the seed walks the graph's static-bound order evaluating
-/// exact keys and stops once bound(v) / c_min is below the running cut,
-/// where c_min is the smallest cost (1 at unit costs). Against any
-/// retained set key(v) <= bound(v) / cost(v) <= bound(v) / c_min, and the
-/// walk descends by bound, so the early exit is exact. Once the seed
-/// keeps every candidate of the shard no walk could stop early, so the
-/// seed sweeps the shard in id order with one batch gain pass, fanned
-/// over the pool when the caller gave one (one dispatch per sweep). Both
-/// keep the exact top `seed_heap_capacity` candidates by (key, id), so
-/// the work done depends on the capacity only, never on the SIMD tier;
-/// the seed is truncated when it visited more candidates than it kept.
+/// Seeding. A seed capacity below the shard size walks the graph's
+/// static-bound order evaluating exact keys and stops once bound(v) /
+/// c_min is below the running cut, c_min being the smallest cost (1 at
+/// unit costs): key(v) <= bound(v) / cost(v) <= bound(v) / c_min against
+/// any retained set, and the walk descends by bound, so the early exit is
+/// exact. A seed that keeps the whole shard sweeps it in id order with
+/// one batch gain pass (one pool dispatch, given a pool). Both keep the
+/// exact top `seed_heap_capacity` candidates by (key, id); the work
+/// depends on the capacity, never on the SIMD tier. The seed is
+/// truncated when it visited more candidates than it kept.
 class CelfShardEngine {
  public:
   struct Config {
@@ -264,8 +261,7 @@ class CelfShardEngine {
     std::span<const double> costs;
     /// Extra admissibility test; nullptr = none.
     const CandidateFilter* filter = nullptr;
-    /// Pool for the sweep seed's gain pass; nullptr = the calling thread.
-    ThreadPool* pool = nullptr;
+    ThreadPool* pool = nullptr;  // runs the sweep seed's gain pass
   };
 
   /// `state`, `excluded` and everything `config` points to must outlive
@@ -284,8 +280,6 @@ class CelfShardEngine {
   void OnCommitted(NodeId winner);
 
   void DrainCounters(EvaluatorCounters* into) { into->MergeFrom(&counters_); }
-
-  /// c_min: the smallest cost, 1 at unit costs.
   double min_cost() const { return min_cost_; }
 
  private:

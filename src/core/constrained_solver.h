@@ -21,18 +21,15 @@
 //
 // Gains are non-increasing as S grows and costs are fixed positives, so
 // ratios are non-increasing too and the lazy argument carries over. The
-// engine's seed follows the unconstrained rule: a capped seed walks the
-// graph's static gain-bound order and stops once bound(v)/c_min is below
-// the running cut, c_min being the smallest cost: Gain(v) <= bound(v)
-// against any retained set, so bound(v)/c_min upper-bounds the ratio of v
-// and of every node after it, and no per-solve sort is needed; a seed
-// that keeps every candidate sweeps them in id order. The choice depends
-// on the capacity, not the SIMD tier, so solutions and work counts are
-// identical across scalar/word/avx2, and with unit costs and no
-// constraints the selection reduces bitwise to SolveGreedy's (gain/1.0 is
-// the gain, ties break to the smaller id in both). Once no quota deficit
-// remains and the remaining budget is below c_min, nothing is affordable
-// and the solve ends without touching the heap.
+// engine's capped seed walks the graph's static gain-bound order, as the
+// unconstrained one does, and stops once bound(v)/c_min is below the
+// running cut, c_min being the smallest cost: Gain(v) <= bound(v) against
+// any retained set, so bound(v)/c_min upper-bounds the ratio of v and of
+// every node after it. Solutions and work are identical across
+// scalar/word/avx2, and with unit costs and no constraints the selection
+// reduces bitwise to SolveGreedy's (gain/1.0 is the gain, ties break to
+// the smaller id in both). Once no quota deficit remains, a remaining
+// budget below c_min buys nothing, so the solve ends there.
 //
 // Guarantee. With a budget and no minimum quotas, the returned solution
 // is the better of the ratio-greedy run and the best affordable

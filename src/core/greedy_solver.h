@@ -13,11 +13,9 @@
 //                    so a candidate's gain only decreases as S grows;
 //                    re-evaluating the heap top until it is fresh selects
 //                    exactly the plain-greedy argmax;
-//   - lazy-parallel: the same one engine, handed the pool: a seed that
-//                    keeps every candidate sweeps their gains in one pool
-//                    dispatch; a capped seed walks the bound order, so
-//                    lazy-parallel then does exactly lazy's work (see
-//                    docs/ALGORITHMS.md).
+//   - lazy-parallel: the same engine, whose seed sweep (when the seed
+//                    keeps every candidate) runs on the pool; it does
+//                    exactly lazy's work (see docs/ALGORITHMS.md).
 //
 // Ties break to the smaller id in every execution, so all four produce
 // byte-identical solutions; so do the constrained solver
@@ -101,12 +99,10 @@ struct GreedyOptions {
   /// the top-T candidates by (gain, id) and pulls the cut-off rest back
   /// in through exact threshold refills when the selection front drops
   /// below the cut (counted in `SolverStats::seed_refills`). 0 = default
-  /// (1024). A T below n walks the static-bound order; T >= n sweeps
-  /// every gain once (on the pool, for lazy-parallel), and
-  /// N distributed workers keep ceil(T / N) each. The selected node
-  /// sequence is identical for every value — this is purely a
-  /// performance knob; see core/candidate_evaluator.h for the exactness
-  /// argument.
+  /// (1024); N distributed workers keep ceil(T / N) each. The selected
+  /// node sequence is identical for every value — this is purely a
+  /// performance knob; see core/candidate_evaluator.h for the seed rule
+  /// and the exactness argument.
   size_t seed_heap_capacity = 0;
 
   /// Cooperative cancellation (explicit Cancel() or a deadline). Checked
@@ -169,12 +165,10 @@ Result<Solution> SolveGreedyWithEvaluator(
     const PreferenceGraph& graph, size_t k, const GreedyOptions& options,
     const CandidateEvaluatorFactory& factory, const char* algorithm);
 
-/// \brief Lazy greedy with a pool: SolveGreedyLazy's one CELF engine,
-/// whose sweep seed (a seed capacity that keeps every candidate) runs its
-/// gain pass in one `pool` dispatch; every round runs on the calling
-/// thread, and a capped seed never touches the pool (nullptr = exactly
-/// SolveGreedyLazy). Produces the same solution as SolveGreedy for any
-/// thread count, including under force_include/force_exclude and
+/// \brief SolveGreedyLazy whose seed sweep, run when the seed keeps every
+/// candidate, is one `pool` dispatch; rounds and a capped seed's walk run
+/// on the calling thread. Produces the same solution as SolveGreedy for
+/// any thread count, including under force_include/force_exclude and
 /// stop_at_cover.
 Result<Solution> SolveGreedyLazyParallel(
     const PreferenceGraph& graph, size_t k, ThreadPool* pool,

@@ -51,10 +51,8 @@ std::optional<std::string_view> ReplyArgs(const std::string& reply,
   return rest;
 }
 
-// Per-worker seed capacity when `shards` workers split the candidate
-// range: ceil(T / shards), where T is `seed_heap_capacity` (0 = the
-// default). T = n stays exhaustive, since no shard is larger than
-// ceil(n / shards), so every worker then sweeps its shard.
+// ceil(T / shards) per worker, T = `seed_heap_capacity` (0 = the default):
+// at T = n no shard exceeds ceil(n / shards), so every worker sweeps.
 size_t ShardSeedCapacity(size_t seed_heap_capacity, size_t shards) {
   const size_t cap = seed_heap_capacity > 0 ? seed_heap_capacity
                                             : kDefaultSeedHeapCapacity;
@@ -470,7 +468,7 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
   const std::string exclude_csv_;
   std::string simd_name_;
   std::vector<WorkerHandle> workers_;
-  size_t seed_cap_ = 0;  // per-shard seed capacity of the current partition
+  size_t seed_cap_ = 0;  // per-worker seed capacity of the current partition
   EvaluatorCounters tally_;
   std::string last_error_ = "no failures recorded";
 

@@ -23,7 +23,7 @@ enum class Algorithm {
   kGreedy,              // plain Algorithm 1
   kGreedyLazy,          // CELF execution of Algorithm 1 (same output)
   kGreedyParallel,      // thread-pooled execution of Algorithm 1 (same output)
-  kGreedyLazyParallel,  // sharded CELF on a thread pool (same output)
+  kGreedyLazyParallel,  // CELF, seed sweep on a thread pool (same output)
   kConstrainedGreedy,   // cost-ratio greedy under a ConstraintSpec
   kBruteForce,
   kTopKWeight,

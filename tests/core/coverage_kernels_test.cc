@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -348,9 +349,10 @@ TEST(KernelSolverDifferentialTest,
   }
   budgeted.budget = 60.0;
 
-  // Each solve's work at every level, keyed by a label.
-  const auto solve_all = [&](std::vector<std::string>* labels) {
-    std::vector<std::vector<uint64_t>> work;
+  // Each solve's label and work at the current level.
+  using Work = std::vector<std::pair<std::string, std::vector<uint64_t>>>;
+  const auto solve_all = [&] {
+    Work work;
     for (uint64_t seed = 0; seed < kNumSeeds; ++seed) {
       const Variant variant =
           seed % 2 == 0 ? Variant::kIndependent : Variant::kNormalized;
@@ -361,40 +363,37 @@ TEST(KernelSolverDifferentialTest,
       auto lazy = SolveGreedyLazy(g, std::max<size_t>(1, g.NumNodes() / 4),
                                   options);
       EXPECT_TRUE(lazy.ok());
-      work.push_back(LazyWork(lazy->stats));
-      labels->push_back("lazy seed=" + std::to_string(seed));
+      work.emplace_back("lazy seed=" + std::to_string(seed),
+                        LazyWork(lazy->stats));
     }
     auto lazy = SolveGreedyLazy(*large, 200);
     EXPECT_TRUE(lazy.ok());
-    work.push_back(LazyWork(lazy->stats));
-    labels->push_back("lazy n=2500");
+    work.emplace_back("lazy n=2500", LazyWork(lazy->stats));
     ConstrainedCoverOptions options;
     options.max_items = 200;
     for (const ConstraintSpec& spec : {ConstraintSpec(), budgeted}) {
       auto constrained = SolveConstrainedCover(*large, spec, options);
       EXPECT_TRUE(constrained.ok());
-      work.push_back(LazyWork(constrained->solution.stats));
-      labels->push_back(spec.HasBudget() ? "constrained n=2500 budget"
-                                         : "constrained n=2500");
+      work.emplace_back(spec.HasBudget() ? "constrained n=2500 budget"
+                                         : "constrained n=2500",
+                        LazyWork(constrained->solution.stats));
     }
     return work;
   };
 
-  std::vector<std::string> labels;
-  std::vector<std::vector<uint64_t>> reference;
+  Work reference;
   {
     ScopedSimdLevelEnv env("scalar");
-    reference = solve_all(&labels);
+    reference = solve_all();
   }
   for (SimdLevel level : SupportedLevels()) {
     if (level == SimdLevel::kScalar) continue;
     ScopedSimdLevelEnv env(std::string(SimdLevelName(level)).c_str());
-    std::vector<std::string> unused;
-    const std::vector<std::vector<uint64_t>> work = solve_all(&unused);
+    const Work work = solve_all();
     ASSERT_EQ(work.size(), reference.size());
     for (size_t i = 0; i < work.size(); ++i) {
-      EXPECT_EQ(work[i], reference[i])
-          << labels[i] << " level=" << SimdLevelName(level);
+      EXPECT_EQ(work[i].second, reference[i].second)
+          << reference[i].first << " level=" << SimdLevelName(level);
     }
   }
 }

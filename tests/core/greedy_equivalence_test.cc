@@ -225,7 +225,8 @@ TEST(GreedyDifferentialTest,
       options.seed_heap_capacity = cap;
       auto lazy = SolveGreedyLazy(instance.graph, instance.k, options);
       ASSERT_TRUE(lazy.ok()) << instance.label;
-      // A search round always seeds (every instance has live candidates).
+      // The first search round seeds; stop_at_cover may end a solve
+      // before any.
       const uint64_t dispatches =
           cap >= n && lazy->stats.iterations > 0 ? 1 : 0;
       for (size_t t = 0; t < 3; ++t) {
