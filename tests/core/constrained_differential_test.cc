@@ -7,8 +7,9 @@
 // at every supported SIMD level (scalar is the oracle).
 //
 // Instances stay at n <= 14 (2^14 subsets) with exactly-representable
-// quarter-step costs so budget feasibility carries no rounding noise; one
-// extra n = 20,000 instance checks (d) where the seed is truncated.
+// quarter-step costs so budget feasibility carries no rounding noise. An
+// extra n = 20,000 instance truncates the seed: it checks (d) there, and
+// the cost-keyed walk's early exit against an exhaustive ratio greedy.
 
 #include <cstdint>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 
 #include "core/brute_force_solver.h"
 #include "core/constrained_solver.h"
+#include "core/cover_state.h"
 #include "graph/graph_generators.h"
 #include "util/random.h"
 #include "util/simd_dispatch.h"
@@ -235,11 +237,11 @@ TEST(ConstrainedDifferential, ByteIdenticalAcrossSimdLevels) {
   }
 }
 
-// The tiny instances above never truncate the 1024-entry seed, so they
-// cannot reach the kernel tiers' early exit under costs. Here n = 20,000
-// and costs from U[0.2, 1.2] make the cost-keyed walk stop early; an exit
-// that ignored the smallest cost would skip cheap candidates whose ratio
-// beats the cut and diverge from the scalar sweep.
+// The tiny instances above never truncate the 1024-entry seed. Here
+// n = 20,000 and costs from U[0.2, 1.2] make the cost-keyed walk stop
+// early; every tier walks the same bound order, so this pins the kernels
+// under a truncated seed. The exit itself is checked against an
+// exhaustive reference by TruncatedCostKeyedSeedMatchesExhaustiveGreedy.
 TEST(ConstrainedDifferential, TruncatedCostKeyedSeedByteIdenticalAtScale) {
   Rng rng(2020);
   UniformGraphParams params;
@@ -270,6 +272,64 @@ TEST(ConstrainedDifferential, TruncatedCostKeyedSeedByteIdenticalAtScale) {
     EXPECT_EQ(reference->solution.cover_after_prefix,
               other->solution.cover_after_prefix)
         << name;
+  }
+}
+
+// Cost-ratio greedy with no seed and no bound order: every round scores
+// every affordable unretained item and keeps the best gain/cost, ties to
+// the smaller id. Runs until nothing is affordable, as the solver does
+// without an item bound.
+std::vector<NodeId> ExhaustiveRatioGreedy(const PreferenceGraph& g,
+                                          const ConstraintSpec& spec) {
+  CoverState state(&g, Variant::kIndependent, SimdLevel::kScalar);
+  double remaining = spec.budget;
+  std::vector<NodeId> items;
+  for (;;) {
+    NodeId best = kInvalidNode;
+    double best_ratio = 0.0;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      if (state.IsRetained(v) || spec.CostOf(v) > remaining) continue;
+      const double ratio = state.GainOf(v) / spec.CostOf(v);
+      // Ids ascend, so a strict compare keeps the smaller id on ties.
+      if (best == kInvalidNode || ratio > best_ratio) {
+        best = v;
+        best_ratio = ratio;
+      }
+    }
+    if (best == kInvalidNode) return items;
+    state.AddNode(best);
+    remaining -= spec.CostOf(best);
+    items.push_back(best);
+  }
+}
+
+// The engine's capped seed walks the static-bound order and stops once
+// bound(v)/c_min falls below the seed cut. With costs in U[0.2, 1.2] a
+// ratio reaches 5x its gain, so an exit that compared the bare bound
+// with the cut would stop before cheap candidates whose ratio beats it.
+// The reference above never walks, so it sees those candidates.
+TEST(ConstrainedDifferential, TruncatedCostKeyedSeedMatchesExhaustiveGreedy) {
+  Rng rng(2020);
+  UniformGraphParams params;
+  params.num_nodes = 20'000;
+  params.out_degree = 6;
+  params.popularity_skew = 0.9;
+  auto g = GenerateUniformGraph(params, &rng);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  ConstraintSpec spec;
+  spec.costs.resize(params.num_nodes);
+  for (double& c : spec.costs) c = rng.NextDouble(0.2, 1.2);
+  spec.budget = 200.0;
+
+  const std::vector<NodeId> expected = ExhaustiveRatioGreedy(*g, spec);
+  ASSERT_GT(expected.size(), 200u);
+  for (SimdLevel level : SupportedLevels()) {
+    const std::string name(SimdLevelName(level));
+    ScopedSimdLevelEnv env(name.c_str());
+    auto solved = SolveConstrainedCover(*g, spec);
+    ASSERT_TRUE(solved.ok()) << name << ": " << solved.status().ToString();
+    ASSERT_TRUE(solved->greedy_won) << name;
+    EXPECT_EQ(expected, solved->solution.items) << name;
   }
 }
 
