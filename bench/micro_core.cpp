@@ -70,6 +70,85 @@ BenchCase GainCase(const PreferenceGraph& g, Variant variant,
   return bench_case;
 }
 
+std::shared_ptr<PreferenceGraph> ProfileGraph(uint32_t n, uint64_t seed) {
+  auto g = GenerateProfileGraphWithNodes(DatasetProfile::kPE, n, seed);
+  PREFCOVER_CHECK(g.ok());
+  return std::make_shared<PreferenceGraph>(std::move(*g));
+}
+
+// The greedy family's identity columns on a PE-shaped graph, k = n/20.
+BenchCase SolveCase(const std::string& solver, uint64_t n) {
+  BenchCase bench_case;
+  bench_case.name = "solve/" + solver + "/n" + std::to_string(n);
+  bench_case.profile = "PE";
+  bench_case.variant = "independent";
+  bench_case.solver = solver;
+  bench_case.n = n;
+  bench_case.k = n / 20;
+  return bench_case;
+}
+
+BenchCase LazyCase(std::shared_ptr<PreferenceGraph> graph) {
+  BenchCase bench_case = SolveCase("lazy", graph->NumNodes());
+  bench_case.run = [graph, k = bench_case.k](BenchRecorder* recorder) {
+    auto sol = SolveGreedyLazy(*graph, k);
+    if (!sol.ok()) return sol.status();
+    recorder->Record("cover", sol->cover);
+    recorder->Record("gain_evaluations",
+                     static_cast<double>(sol->stats.gain_evaluations));
+    recorder->Record("heap_pops", static_cast<double>(sol->stats.heap_pops));
+    return Status::OK();
+  };
+  return bench_case;
+}
+
+// The constrained cost-ratio greedy at unit costs with no constraints:
+// selection-identical to the lazy solve and run by the same round loop
+// and engine, so the runtime ratio between the two cases is the pure
+// overhead of the constraint plumbing (the constrained evaluator, its
+// per-solve setup, the singleton guard when budgeted).
+BenchCase BudgetGreedyCase(std::shared_ptr<PreferenceGraph> graph) {
+  BenchCase bench_case = SolveCase("budget_greedy", graph->NumNodes());
+  bench_case.solver = "constrained";
+  bench_case.run = [graph, k = bench_case.k](BenchRecorder* recorder) {
+    ConstrainedCoverOptions options;
+    options.max_items = k;
+    auto sol = SolveConstrainedCover(*graph, ConstraintSpec(), options);
+    if (!sol.ok()) return sol.status();
+    recorder->Record("cover", sol->solution.cover);
+    recorder->Record(
+        "gain_evaluations",
+        static_cast<double>(sol->solution.stats.gain_evaluations));
+    recorder->Record("heap_pops",
+                     static_cast<double>(sol->solution.stats.heap_pops));
+    return Status::OK();
+  };
+  return bench_case;
+}
+
+// Lazy-parallel at one pool width: lazy's one CELF engine with a pool
+// for its sweep seed. At these sizes the default seed walks, so no case
+// dispatches and every width does lazy's work; the telemetry counters
+// expose how much work the pruning saves vs. the full O(nk) scan.
+BenchCase LazyParallelCase(std::shared_ptr<PreferenceGraph> graph,
+                           size_t workers) {
+  BenchCase bench_case = SolveCase("lazy_parallel", graph->NumNodes());
+  bench_case.name += "/w" + std::to_string(workers);
+  bench_case.threads = workers;
+  auto pool = std::make_shared<ThreadPool>(workers);
+  bench_case.run = [graph, pool, k = bench_case.k](BenchRecorder* recorder) {
+    auto sol = SolveGreedyLazyParallel(*graph, k, pool.get());
+    if (!sol.ok()) return sol.status();
+    recorder->Record("cover", sol->cover);
+    recorder->Record("gain_evaluations",
+                     static_cast<double>(sol->stats.gain_evaluations));
+    recorder->Record("stale_ratio", sol->stats.StaleRatio());
+    recorder->Record("pool_utilization", sol->stats.PoolUtilization());
+    return Status::OK();
+  };
+  return bench_case;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -276,85 +355,38 @@ int main(int argc, char** argv) {
     run_or_die(bench_case);
   }
 
-  // The greedy family on PE-shaped graphs, k = n/20.
-  for (uint32_t n : {10'000u, 50'000u}) {
-    auto g = GenerateProfileGraphWithNodes(DatasetProfile::kPE, n, env.seed);
-    PREFCOVER_CHECK(g.ok());
-    auto graph = std::make_shared<PreferenceGraph>(std::move(*g));
-    const size_t k = n / 20;
-    BenchCase bench_case;
-    bench_case.name = "solve/lazy/n" + std::to_string(n);
-    bench_case.profile = "PE";
-    bench_case.variant = "independent";
-    bench_case.solver = "lazy";
-    bench_case.n = n;
-    bench_case.k = k;
-    bench_case.run = [graph, k](BenchRecorder* recorder) -> Status {
-      auto sol = SolveGreedyLazy(*graph, k);
-      if (!sol.ok()) return sol.status();
-      recorder->Record("cover", sol->cover);
-      recorder->Record("gain_evaluations",
-                       static_cast<double>(sol->stats.gain_evaluations));
-      recorder->Record("heap_pops",
-                       static_cast<double>(sol->stats.heap_pops));
-      return Status::OK();
-    };
-    run_or_die(bench_case);
+  // The greedy family on PE-shaped graphs, k = n/20. perf.yml's ratio
+  // gates divide budget_greedy and lazy_parallel w4 by lazy at n10000
+  // (<= 1.05x, <= 1.5x), so those three cases are timed round-robin
+  // (BenchRunner::Measure) and recorded at their places in the case
+  // order below.
+  const auto graph_10k = ProfileGraph(10'000, env.seed);
+  auto gated = runner.Measure(std::vector<BenchCase>{
+      LazyCase(graph_10k), BudgetGreedyCase(graph_10k),
+      LazyParallelCase(graph_10k, 4)});
+  if (!gated.ok()) {
+    std::fprintf(stderr, "%s\n", gated.status().ToString().c_str());
+    return 1;
   }
-
-  // The constrained cost-ratio greedy at unit costs with no constraints:
-  // selection-identical to solve/lazy/n10000 and run by the same round
-  // loop and engine, so the runtime ratio between the two cases is the pure
-  // overhead of the constraint plumbing (the constrained evaluator, its
-  // per-solve setup, the singleton guard when budgeted). perf.yml gates
-  // it at <= 1.05x.
-  {
-    const uint32_t n = 10'000;
-    auto g = GenerateProfileGraphWithNodes(DatasetProfile::kPE, n, env.seed);
-    PREFCOVER_CHECK(g.ok());
-    auto graph = std::make_shared<PreferenceGraph>(std::move(*g));
-    const size_t k = n / 20;
-    BenchCase bench_case;
-    bench_case.name = "solve/budget_greedy/n" + std::to_string(n);
-    bench_case.profile = "PE";
-    bench_case.variant = "independent";
-    bench_case.solver = "constrained";
-    bench_case.n = n;
-    bench_case.k = k;
-    bench_case.run = [graph, k](BenchRecorder* recorder) -> Status {
-      ConstrainedCoverOptions options;
-      options.max_items = k;
-      auto sol = SolveConstrainedCover(*graph, ConstraintSpec(), options);
-      if (!sol.ok()) return sol.status();
-      recorder->Record("cover", sol->solution.cover);
-      recorder->Record(
-          "gain_evaluations",
-          static_cast<double>(sol->solution.stats.gain_evaluations));
-      recorder->Record("heap_pops",
-                       static_cast<double>(sol->solution.stats.heap_pops));
-      return Status::OK();
-    };
-    run_or_die(bench_case);
-  }
+  auto add_or_die = [&runner](BenchResult result) {
+    Status add_status = runner.Add(std::move(result));
+    if (!add_status.ok()) {
+      std::fprintf(stderr, "%s\n", add_status.ToString().c_str());
+      std::exit(1);
+    }
+  };
+  add_or_die(std::move((*gated)[0]));
+  run_or_die(LazyCase(ProfileGraph(50'000, env.seed)));
+  add_or_die(std::move((*gated)[1]));
 
   // The same lazy solve with an armed, never-firing deadline: the delta
   // against solve/lazy/n10000 is the cost of the per-round cancellation
   // check (one relaxed load + one steady_clock read), asserted < 1% in
   // review.
   {
-    const uint32_t n = 10'000;
-    auto g = GenerateProfileGraphWithNodes(DatasetProfile::kPE, n, env.seed);
-    PREFCOVER_CHECK(g.ok());
-    auto graph = std::make_shared<PreferenceGraph>(std::move(*g));
-    const size_t k = n / 20;
-    BenchCase bench_case;
-    bench_case.name = "solve/lazy_deadline/n" + std::to_string(n);
-    bench_case.profile = "PE";
-    bench_case.variant = "independent";
-    bench_case.solver = "lazy_deadline";
-    bench_case.n = n;
-    bench_case.k = k;
-    bench_case.run = [graph, k](BenchRecorder* recorder) -> Status {
+    const auto graph = graph_10k;
+    BenchCase bench_case = SolveCase("lazy_deadline", graph->NumNodes());
+    bench_case.run = [graph, k = bench_case.k](BenchRecorder* recorder) {
       CancelToken cancel;
       cancel.SetTimeout(3600.0);  // armed but never fires
       GreedyOptions options;
@@ -368,48 +400,10 @@ int main(int argc, char** argv) {
     run_or_die(bench_case);
   }
 
-  // Lazy-parallel, one case per pool width: lazy's one CELF engine with
-  // a pool for its sweep seed. At these sizes the default seed walks, so
-  // no case dispatches and every width does lazy's work; the telemetry
-  // counters expose how much work the pruning saves vs. the full O(nk)
-  // scan.
-  {
-    struct ParallelConfig {
-      uint32_t n;
-      size_t workers;
-    };
-    for (const ParallelConfig& pc :
-         {ParallelConfig{10'000, 1}, ParallelConfig{10'000, 2},
-          ParallelConfig{10'000, 4}, ParallelConfig{50'000, 4}}) {
-      auto g = GenerateProfileGraphWithNodes(DatasetProfile::kPE, pc.n,
-                                             env.seed);
-      PREFCOVER_CHECK(g.ok());
-      auto graph = std::make_shared<PreferenceGraph>(std::move(*g));
-      auto pool = std::make_shared<ThreadPool>(pc.workers);
-      const size_t k = pc.n / 20;
-      BenchCase bench_case;
-      bench_case.name = "solve/lazy_parallel/n" + std::to_string(pc.n) +
-                        "/w" + std::to_string(pc.workers);
-      bench_case.profile = "PE";
-      bench_case.variant = "independent";
-      bench_case.solver = "lazy_parallel";
-      bench_case.n = pc.n;
-      bench_case.k = k;
-      bench_case.threads = pc.workers;
-      bench_case.run = [graph, pool, k](BenchRecorder* recorder) -> Status {
-        auto sol = SolveGreedyLazyParallel(*graph, k, pool.get());
-        if (!sol.ok()) return sol.status();
-        recorder->Record("cover", sol->cover);
-        recorder->Record("gain_evaluations",
-                         static_cast<double>(sol->stats.gain_evaluations));
-        recorder->Record("stale_ratio", sol->stats.StaleRatio());
-        recorder->Record("pool_utilization",
-                         sol->stats.PoolUtilization());
-        return Status::OK();
-      };
-      run_or_die(bench_case);
-    }
-  }
+  run_or_die(LazyParallelCase(graph_10k, 1));
+  run_or_die(LazyParallelCase(graph_10k, 2));
+  add_or_die(std::move((*gated)[2]));
+  run_or_die(LazyParallelCase(ProfileGraph(50'000, env.seed), 4));
 
   // Observability overhead. span_disabled measures the cost every
   // uninstrumented-feeling hot path actually pays (one relaxed load per

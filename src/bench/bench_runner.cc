@@ -85,50 +85,79 @@ BenchRunner::BenchRunner(BenchConfig config)
 }
 
 Status BenchRunner::Run(const BenchCase& bench_case) {
-  if (bench_case.name.empty() || !bench_case.run) {
-    return Status::InvalidArgument("BenchCase needs a name and a body");
-  }
-  for (const BenchResult& existing : results_) {
-    if (existing.name == bench_case.name) {
+  PREFCOVER_ASSIGN_OR_RETURN(
+      std::vector<BenchResult> results,
+      Measure(std::span<const BenchCase>(&bench_case, 1)));
+  return Add(std::move(results.front()));
+}
+
+Result<std::vector<BenchResult>> BenchRunner::Measure(
+    std::span<const BenchCase> cases) {
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const BenchCase& bench_case = cases[c];
+    if (bench_case.name.empty() || !bench_case.run) {
+      return Status::InvalidArgument("BenchCase needs a name and a body");
+    }
+    const auto same_name = [&bench_case](const auto& other) {
+      return other.name == bench_case.name;
+    };
+    if (std::ranges::any_of(results_, same_name) ||
+        std::ranges::any_of(cases.first(c), same_name)) {
       return Status::AlreadyExists("duplicate bench case '" +
                                    bench_case.name + "'");
     }
   }
 
-  BenchRecorder recorder;
-  for (uint64_t i = 0; i < config_.warmup; ++i) {
-    PREFCOVER_RETURN_NOT_OK(bench_case.run(&recorder));
-    recorder.Clear();
+  std::vector<BenchRecorder> recorders(cases.size());
+  for (size_t c = 0; c < cases.size(); ++c) {
+    for (uint64_t i = 0; i < config_.warmup; ++i) {
+      PREFCOVER_RETURN_NOT_OK(cases[c].run(&recorders[c]));
+      recorders[c].Clear();
+    }
   }
 
-  std::vector<double> wall_ms, cpu_ms;
-  wall_ms.reserve(config_.repetitions);
-  cpu_ms.reserve(config_.repetitions);
-  obs::PerfCounterValues perf;
+  std::vector<std::vector<double>> wall_ms(cases.size());
+  std::vector<std::vector<double>> cpu_ms(cases.size());
+  std::vector<obs::PerfCounterValues> perf(cases.size());
   for (uint64_t i = 0; i < config_.repetitions; ++i) {
-    recorder.Clear();
-    double cpu_before = ProcessCpuSeconds();
-    // Counters accumulate across repetitions so the derived ratios (IPC,
-    // miss rates) average over the whole measured window.
-    obs::PerfScope perf_scope(&perf_group_, &perf);
-    Stopwatch watch;
-    PREFCOVER_RETURN_NOT_OK(bench_case.run(&recorder));
-    wall_ms.push_back(watch.ElapsedMillis());
-    cpu_ms.push_back((ProcessCpuSeconds() - cpu_before) * 1e3);
+    for (size_t c = 0; c < cases.size(); ++c) {
+      recorders[c].Clear();
+      double cpu_before = ProcessCpuSeconds();
+      // Counters accumulate across repetitions so the derived ratios
+      // (IPC, miss rates) average over the whole measured window.
+      obs::PerfScope perf_scope(&perf_group_, &perf[c]);
+      Stopwatch watch;
+      PREFCOVER_RETURN_NOT_OK(cases[c].run(&recorders[c]));
+      wall_ms[c].push_back(watch.ElapsedMillis());
+      cpu_ms[c].push_back((ProcessCpuSeconds() - cpu_before) * 1e3);
+    }
   }
 
-  BenchResult result;
-  result.name = bench_case.name;
-  result.profile = bench_case.profile;
-  result.variant = bench_case.variant;
-  result.solver = bench_case.solver;
-  result.n = bench_case.n;
-  result.k = bench_case.k;
-  result.threads = bench_case.threads;
-  result.wall = LatencySummary::FromSamples(std::move(wall_ms));
-  result.cpu = LatencySummary::FromSamples(std::move(cpu_ms));
-  result.counters = recorder.Sorted();
-  result.perf = std::move(perf);
+  std::vector<BenchResult> results(cases.size());
+  for (size_t c = 0; c < cases.size(); ++c) {
+    BenchResult& result = results[c];
+    result.name = cases[c].name;
+    result.profile = cases[c].profile;
+    result.variant = cases[c].variant;
+    result.solver = cases[c].solver;
+    result.n = cases[c].n;
+    result.k = cases[c].k;
+    result.threads = cases[c].threads;
+    result.wall = LatencySummary::FromSamples(std::move(wall_ms[c]));
+    result.cpu = LatencySummary::FromSamples(std::move(cpu_ms[c]));
+    result.counters = recorders[c].Sorted();
+    result.perf = std::move(perf[c]);
+  }
+  return results;
+}
+
+Status BenchRunner::Add(BenchResult result) {
+  for (const BenchResult& existing : results_) {
+    if (existing.name == result.name) {
+      return Status::AlreadyExists("duplicate bench case '" + result.name +
+                                   "'");
+    }
+  }
   results_.push_back(std::move(result));
   return Status::OK();
 }

@@ -8,6 +8,7 @@
 #define PREFCOVER_BENCH_BENCH_RUNNER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,6 +90,17 @@ class BenchRunner {
   /// Runs `bench_case` (warmup + repetitions) and appends its result.
   /// Case names must be unique within the run.
   Status Run(const BenchCase& bench_case);
+
+  /// Times `cases` round-robin: every case's warmup first, then one timed
+  /// repetition of each case per pass. Host drift during the group then
+  /// reaches every case alike, so a same-process ratio between two of
+  /// them compares repetitions taken moments apart. Returns the results
+  /// in `cases` order without appending them (Add does), so a suite can
+  /// keep its case order while timing a ratio gate's cases together.
+  Result<std::vector<BenchResult>> Measure(std::span<const BenchCase> cases);
+
+  /// Appends a measured result; names must be unique within the run.
+  Status Add(BenchResult result);
 
   const BenchConfig& config() const { return config_; }
   const std::vector<BenchResult>& results() const { return results_; }

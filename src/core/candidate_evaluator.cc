@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "obs/trace.h"
+#include "util/logging.h"
 #include "util/parallel_for.h"
 
 namespace prefcover {
@@ -129,17 +130,22 @@ void CelfShardEngine::Reseed() {
 }
 
 CandidateProposal CelfShardEngine::Propose() {
-  if (pending_.has_value()) {
-    return {true, pending_->gain, pending_->node};
-  }
+  double bound = 0.0;
+  const std::span<const CelfHeapEntry> top = ProposeTop(1, &bound);
+  if (top.empty()) return CandidateProposal{};  // exhausted
+  return {true, top.front().gain, top.front().node};
+}
+
+std::span<const CelfHeapEntry> CelfShardEngine::ProposeTop(size_t depth,
+                                                           double* bound) {
   if (!seeded_once_) {
     seeded_once_ = true;
     Reseed();
   }
   CelfHeap& heap = seeded_.heap;
-  for (;;) {
+  while (held_.size() < depth) {
     if (heap.empty()) {
-      if (!seeded_.truncated) return CandidateProposal{};  // exhausted
+      if (!seeded_.truncated || !held_.empty()) break;  // exhausted
       // The kept pool drained; pull the cut candidates back in.
       ++counters_.seed_refills;
       Reseed();
@@ -162,30 +168,36 @@ CandidateProposal CelfShardEngine::Propose() {
     }
     if (seeded_.truncated && CelfWorse()(top, seeded_.theta)) {
       // The fresh front fell below the seed cut: a cut candidate may now
-      // be the true argmax. Rebuild from a fresh sweep (top's node is
-      // still a candidate, so the rebuild re-covers it).
+      // outrank it. With proposals held, stop (a reseed would re-add
+      // them); otherwise rebuild from a fresh sweep (top's node is still
+      // a candidate, so the rebuild re-covers it).
+      if (!held_.empty()) {
+        heap.push(top);
+        break;
+      }
       ++counters_.seed_refills;
       Reseed();
       continue;
     }
     // A fresh top dominates every other entry's stored key, and stored
-    // keys upper-bound true keys, so this is exactly the shard's
-    // plain-greedy argmax. Held out of the heap until OnCommitted.
-    pending_ = top;
-    return {true, top.gain, top.node};
+    // keys upper-bound true keys, so this is exactly the shard's next
+    // plain-greedy candidate. Held out of the heap until OnCommitted.
+    held_.push_back(top);
   }
+  *bound = heap.empty() ? kNegInf : heap.top().gain;
+  if (seeded_.truncated) *bound = std::max(*bound, seeded_.theta.gain);
+  return held_;
 }
 
-void CelfShardEngine::OnCommitted(NodeId winner) {
-  if (pending_.has_value()) {
-    if (pending_->node != winner) {
-      // A remote shard won the round: recycle the held proposal. Its
-      // round tag predates the commit, so it re-enters as a stale upper
-      // bound and gets refreshed before it can win again.
-      seeded_.heap.push(*pending_);
-    }
-    pending_.reset();
+void CelfShardEngine::OnCommitted([[maybe_unused]] NodeId winner) {
+  PREFCOVER_DCHECK(state_->IsRetained(winner));
+  for (const CelfHeapEntry& entry : held_) {
+    // A held proposal that lost the round re-enters with a round tag that
+    // predates the commit, so it is a stale upper bound and gets
+    // refreshed before it can win again.
+    if (!state_->IsRetained(entry.node)) seeded_.heap.push(entry);
   }
+  held_.clear();
   ++round_;
 }
 

@@ -38,7 +38,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <span>
 #include <vector>
@@ -233,10 +232,12 @@ inline constexpr size_t kDefaultSeedHeapCapacity = 1024;
 /// Propose() settles the heap top to freshness and returns the shard's
 /// exact (key, id)-argmax against the current CoverState — without
 /// consuming it, so a proposal that loses the global merge stays
-/// available. OnCommitted(winner) must be called for *every* committed
-/// selection (any shard's): the caller has already applied AddNode, so
-/// the engine only advances its round (stored keys become stale upper
-/// bounds) and recycles the held proposal.
+/// available. ProposeTop(depth) settles the shard's exact top `depth` the
+/// same way and bounds every candidate it did not return (the dist
+/// workers' batched rounds). OnCommitted(winner) must be called for
+/// *every* committed selection (any shard's): the caller has already
+/// applied AddNode, so the engine only advances its round (stored keys
+/// become stale upper bounds) and recycles the held proposals.
 ///
 /// Seeding. A seed capacity below the shard size walks the graph's
 /// static-bound order evaluating exact keys and stops once bound(v) /
@@ -275,9 +276,23 @@ class CelfShardEngine {
   /// the shard has no live candidate). Repeatable until OnCommitted.
   CandidateProposal Propose();
 
+  /// The shard's exact top `depth` candidates for the current round by
+  /// (key, id), best first, each settled to a fresh key. Fewer come back
+  /// when the shard runs out, or when the next one sits below a truncated
+  /// seed's cut theta: a reseed would re-add the held ones, so the settle
+  /// stops there. `*bound` receives U, the larger of the heap top's stored
+  /// key and (for a truncated seed) theta's key, or -inf when neither
+  /// exists: stored keys and theta bound true keys from above
+  /// (submodularity), so U bounds every live candidate not returned.
+  /// Repeatable until OnCommitted; Propose() is the depth-1 case.
+  std::span<const CelfHeapEntry> ProposeTop(size_t depth, double* bound);
+
   /// Advances past a committed selection. `winner` may belong to any
   /// shard; the caller has already applied CoverState::AddNode(winner).
-  void OnCommitted(NodeId winner);
+  /// Held proposals whose node is retained by then are dropped, so a
+  /// batch applied in full before its OnCommitted calls recycles only
+  /// the held candidates it did not commit.
+  void OnCommitted([[maybe_unused]] NodeId winner);
 
   void DrainCounters(EvaluatorCounters* into) { into->MergeFrom(&counters_); }
   double min_cost() const { return min_cost_; }
@@ -304,10 +319,11 @@ class CelfShardEngine {
   CelfSeededHeap seeded_;
   bool seeded_once_ = false;
   uint32_t round_ = 0;
-  /// The settled proposal for the current round, held out of the heap
-  /// until OnCommitted decides its fate (winner: dropped; loser:
-  /// reinserted, becoming a stale upper bound for the next round).
-  std::optional<CelfHeapEntry> pending_;
+  /// The settled proposals for the current round, best first, held out
+  /// of the heap until OnCommitted decides their fate (committed:
+  /// dropped; the rest: reinserted, becoming stale upper bounds for the
+  /// next round).
+  std::vector<CelfHeapEntry> held_;
   /// Sweep-seed scratch (gains indexed by node id; sized to shard_end_ on
   /// first use).
   std::vector<double> gains_;

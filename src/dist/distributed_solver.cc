@@ -3,6 +3,8 @@
 #if defined(__unix__) || defined(__APPLE__)
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -19,9 +21,17 @@ namespace dist {
 
 namespace {
 
+/// One worker's answer to a round: its shard's settled top candidates,
+/// best first, and U, a bound on the gain of every candidate it did not
+/// send.
+struct ShardProposal {
+  std::vector<CandidateProposal> top;
+  double bound = -std::numeric_limits<double>::infinity();
+};
+
 /// One worker process as the coordinator sees it. The client owns the
 /// connection; `seq` mirrors the worker's commit sequence so the commit
-/// broadcast knows who still needs the current round.
+/// broadcast knows who still needs the current batch.
 struct WorkerHandle {
   DistWorkerEndpoint endpoint;
   std::unique_ptr<serve::ResilientClient> client;
@@ -33,9 +43,13 @@ struct WorkerHandle {
   // round `cached_seq`. Lets the steady-state round skip the propose
   // fan-out entirely. `cached_tally` holds the counters that proposal
   // drained, merged when the proposal is consumed.
-  std::optional<CandidateProposal> cached_proposal;
+  std::optional<ShardProposal> cached_proposal;
   uint64_t cached_seq = 0;
   EvaluatorCounters cached_tally;
+  // The sequence at which the worker's last reply was rejected. A second
+  // rejection at the same sequence, after the re-init the first one
+  // caused, means a re-init cannot bring it back.
+  std::optional<uint64_t> rejected_seq;
 };
 
 /// Strips the expected `OK <verb> ` reply prefix; empty optional when the
@@ -82,6 +96,11 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
   Result<CandidateProposal> BestCandidate() override {
     const size_t committed = context_.committed->size();
     if (options_.on_round) options_.on_round(committed);
+    // Inside a batch: its next item is already exact, no wire needed.
+    if (committed >= batch_begin_ &&
+        committed - batch_begin_ < batch_.size()) {
+      return batch_[committed - batch_begin_];
+    }
     for (;;) {
       Stopwatch round_timer;
       std::vector<size_t> alive = AliveIndices();
@@ -109,7 +128,7 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
         replies[idx] = CallWorker(workers_[idx], request);
       });
 
-      CandidateProposal best;
+      std::vector<ShardProposal> proposals;
       EvaluatorCounters round_tally;
       bool round_ok = true;
       for (size_t idx : alive) {
@@ -119,9 +138,8 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
           EvaluatorCounters tally = worker.cached_tally;
           round_tally.MergeFrom(&tally);
           m_proposals_->Increment();
-          if (BetterProposal(*worker.cached_proposal, best)) {
-            best = *worker.cached_proposal;
-          }
+          proposals.push_back(std::move(*worker.cached_proposal));
+          worker.cached_proposal.reset();
           continue;
         }
         Result<std::string>& reply = *replies[idx];
@@ -135,16 +153,12 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
           // The worker answered but is out of step (e.g. it restarted, or
           // a half-applied broadcast): a re-init brings it back. Handled
           // below by the full rebalance.
-          PREFCOVER_LOG(Warning)
-              << "dist: worker " << workers_[idx].endpoint.host << ":"
-              << workers_[idx].endpoint.port
-              << " propose rejected: " << proposal.status().ToString();
-          last_error_ = proposal.status().ToString();
+          Rejected(idx, committed, proposal.status());
           round_ok = false;
           continue;
         }
         m_proposals_->Increment();
-        if (BetterProposal(*proposal, best)) best = *proposal;
+        proposals.push_back(std::move(*proposal));
       }
       if (!round_ok) {
         PREFCOVER_RETURN_NOT_OK(Rebalance());
@@ -152,23 +166,40 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
       }
       tally_.MergeFrom(&round_tally);
       m_rounds_->Increment();
+      FormBatch(proposals, committed);
       m_merge_seconds_->Record(round_timer.ElapsedSeconds());
-      return best;
+      if (batch_.empty()) return CandidateProposal{};  // all exhausted
+      return batch_.front();
     }
   }
 
   Status CommitWinner(NodeId v) override {
     // The driver has already applied AddNode(v) and appended v to the
-    // committed prefix, so the round being committed is the previous
-    // sequence number and the local cover is the post-commit one.
-    const uint64_t round_seq = context_.committed->size() - 1;
+    // committed prefix, so the local cover is the post-commit one.
+    const size_t committed = context_.committed->size();
+    if (committed <= batch_begin_ ||
+        committed - batch_begin_ > batch_.size() ||
+        batch_[committed - 1 - batch_begin_].node != v) {
+      return Status::Internal("dist commit of " + std::to_string(v) +
+                              " is not the batch's next item");
+    }
+    m_commits_->Increment();
+    // The wire waits for the batch's last item, so a deadline or
+    // stop_at_cover stop inside the batch leaves the workers behind the
+    // driver, never ahead of it.
+    if (committed - batch_begin_ < batch_.size()) return Status::OK();
+
+    const uint64_t batch_seq = batch_begin_;
+    const uint64_t next_seq = batch_seq + batch_.size();
     const std::string expect_cover = FormatF64(context_.state->cover());
-    const std::string request = "commit seq=" + std::to_string(round_seq) +
-                                " node=" + std::to_string(v);
+    std::vector<NodeId> nodes;
+    for (const CandidateProposal& item : batch_) nodes.push_back(item.node);
+    const std::string request = "commit seq=" + std::to_string(batch_seq) +
+                                " node=" + FormatNodeCsv(nodes);
     for (;;) {
       std::vector<size_t> pending;
       for (size_t i = 0; i < workers_.size(); ++i) {
-        if (workers_[i].alive && workers_[i].seq == round_seq) {
+        if (workers_[i].alive && workers_[i].seq == batch_seq) {
           pending.push_back(i);
         }
       }
@@ -189,16 +220,13 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
           continue;
         }
         auto args = ReplyArgs(*reply, "commit");
-        if (!args.has_value()) {
-          last_error_ = *reply;
-          round_ok = false;
-          continue;
-        }
-        const KvArgs kv(*args);
+        const KvArgs kv(args.value_or(std::string_view()));
         auto seq = kv.GetU64("seq");
         auto cover = kv.GetString("cover");
-        if (!seq.ok() || *seq != round_seq + 1 || !cover.ok()) {
-          last_error_ = *reply;
+        if (!args.has_value() || !seq.ok() || *seq != next_seq ||
+            !cover.ok()) {
+          Rejected(idx, batch_seq,
+                   Status::FailedPrecondition("commit rejected: " + *reply));
           round_ok = false;
           continue;
         }
@@ -208,14 +236,12 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
         // fault to retry around.
         if (*cover != expect_cover) {
           return Status::Internal(
-              "dist cover divergence at seq " +
-              std::to_string(round_seq + 1) + ": worker " +
-              workers_[idx].endpoint.host + ":" +
+              "dist cover divergence at seq " + std::to_string(next_seq) +
+              ": worker " + workers_[idx].endpoint.host + ":" +
               std::to_string(workers_[idx].endpoint.port) + " reports " +
               *cover + ", coordinator has " + expect_cover);
         }
-        workers_[idx].seq = round_seq + 1;
-        m_commits_->Increment();
+        workers_[idx].seq = next_seq;
         // Stash the piggybacked next-round proposal, when present (the
         // final commit of a budget-exhausted solve carries none). A
         // malformed piggyback is not fatal — the worker just gets a
@@ -226,8 +252,8 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
           worker.cached_tally = EvaluatorCounters();
           auto next = ParseProposalFields(kv, &worker.cached_tally);
           if (next.ok()) {
-            worker.cached_proposal = *next;
-            worker.cached_seq = round_seq + 1;
+            worker.cached_proposal = std::move(*next);
+            worker.cached_seq = next_seq;
           } else {
             worker.cached_proposal.reset();
           }
@@ -236,7 +262,7 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
       if (!round_ok) {
         PREFCOVER_RETURN_NOT_OK(Rebalance());
         // Rebalance re-inits from the committed prefix (which includes
-        // v), so re-seated workers are already past this round; the loop
+        // the batch), so re-seated workers are already past it; the loop
         // re-checks who is still pending.
       }
     }
@@ -267,6 +293,65 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
     m_bytes_received_ = registry.GetCounter(dist_metric::kBytesReceived);
     m_merge_seconds_ = registry.GetHistogram(dist_metric::kMergeSeconds,
                                              obs::LatencyBucketsSeconds());
+  }
+
+  /// Merges the shards' lists by (gain desc, id asc) into the batch that
+  /// starts at sequence `committed`. The head is the global exact argmax,
+  /// as with one winner per round. Each later entry c joins while (a) its
+  /// gain beats every shard's U strictly, so no unsent candidate can
+  /// catch it, and (b) {c} ∪ In(c) misses {w} ∪ In(w) for every earlier
+  /// member w: committing w rewrites only the residuals of w and its
+  /// in-neighbours, and c's gain reads only those of c and its
+  /// in-neighbours, so c's sent gain is still exact. Every sent entry
+  /// that ranked above c is already in the batch, and gains only fall
+  /// (submodularity), so c is the plain-greedy argmax of its own round.
+  void FormBatch(const std::vector<ShardProposal>& proposals,
+                 size_t committed) {
+    batch_.clear();
+    batch_begin_ = committed;
+    std::vector<CandidateProposal> merged;
+    double bound = -std::numeric_limits<double>::infinity();
+    for (const ShardProposal& proposal : proposals) {
+      merged.insert(merged.end(), proposal.top.begin(), proposal.top.end());
+      bound = std::max(bound, proposal.bound);
+    }
+    std::ranges::sort(merged, BetterProposal);
+    // Sized by the batch's rows, never by n.
+    std::vector<NodeId> touched;
+    const size_t cap = context_.k - committed;
+    for (const CandidateProposal& entry : merged) {
+      if (batch_.size() == cap) break;
+      const std::span<const NodeId> in =
+          context_.graph->InNeighbors(entry.node).nodes;
+      if (!batch_.empty()) {
+        if (!(entry.gain > bound)) break;
+        const auto hit = [&touched](NodeId u) {
+          return std::ranges::binary_search(touched, u);
+        };
+        if (hit(entry.node) || std::ranges::any_of(in, hit)) break;
+      }
+      batch_.push_back(entry);
+      touched.push_back(entry.node);
+      touched.insert(touched.end(), in.begin(), in.end());
+      std::ranges::sort(touched);
+    }
+  }
+
+  /// A worker answered, but with a reply the coordinator cannot use. The
+  /// first time at a sequence it gets re-seated with everyone else; a
+  /// second time at the same sequence it is dead, so a skewed or broken
+  /// worker cannot make the solve re-seat it forever.
+  void Rejected(size_t idx, uint64_t seq, const Status& cause) {
+    WorkerHandle& worker = workers_[idx];
+    PREFCOVER_LOG(Warning)
+        << "dist: worker " << worker.endpoint.host << ":"
+        << worker.endpoint.port << " reply rejected: " << cause.ToString();
+    last_error_ = cause.ToString();
+    if (worker.rejected_seq == seq) {
+      MarkDead(idx, cause);
+      return;
+    }
+    worker.rejected_seq = seq;
   }
 
   Status Connect() {
@@ -316,6 +401,21 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
   }
 
   Status InitWorker(WorkerHandle* worker) {
+    // A worker built from another protocol version would misread every
+    // round, so refuse it before seating.
+    PREFCOVER_ASSIGN_OR_RETURN(std::string hello,
+                               CallWorker(*worker, "hello"));
+    const KvArgs hello_kv(
+        ReplyArgs(hello, "hello").value_or(std::string_view()));
+    std::string_view version = "?";
+    (void)hello_kv.Get("v", &version);
+    if (version != std::to_string(kProtocolVersion)) {
+      return Status::FailedPrecondition(
+          "dist worker " + worker->endpoint.host + ":" +
+          std::to_string(worker->endpoint.port) + " speaks protocol v=" +
+          std::string(version) + ", this coordinator speaks v=" +
+          std::to_string(kProtocolVersion));
+    }
     const std::string request =
         "init shard=" + std::to_string(worker->shard_begin) + ":" +
         std::to_string(worker->shard_end) +
@@ -381,9 +481,9 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
     }
   }
 
-  Result<CandidateProposal> ParseProposeReply(const std::string& reply,
-                                              uint64_t expected_seq,
-                                              EvaluatorCounters* tally) {
+  Result<ShardProposal> ParseProposeReply(const std::string& reply,
+                                          uint64_t expected_seq,
+                                          EvaluatorCounters* tally) {
     auto args = ReplyArgs(reply, "propose");
     if (!args.has_value()) {
       return Status::FailedPrecondition("propose rejected: " + reply);
@@ -396,19 +496,29 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
     return ParseProposalFields(kv, tally);
   }
 
-  /// The shared proposal key/values (`found= [node= gain=] evals= ...`),
-  /// as emitted by both the `propose` reply and the `commit` piggyback.
-  Result<CandidateProposal> ParseProposalFields(const KvArgs& kv,
-                                                EvaluatorCounters* tally) {
+  /// The shared proposal key/values (`found= [node= gain=] more= bound=
+  /// evals= ...`), as emitted by both the `propose` reply and the
+  /// `commit` piggyback.
+  Result<ShardProposal> ParseProposalFields(const KvArgs& kv,
+                                            EvaluatorCounters* tally) {
     PREFCOVER_ASSIGN_OR_RETURN(uint64_t found, kv.GetU64("found"));
-    CandidateProposal proposal;
+    ShardProposal proposal;
     if (found != 0) {
       PREFCOVER_ASSIGN_OR_RETURN(uint64_t node, kv.GetU64("node"));
       PREFCOVER_ASSIGN_OR_RETURN(double gain, kv.GetF64("gain"));
-      proposal.found = true;
-      proposal.node = static_cast<NodeId>(node);
-      proposal.gain = gain;
+      proposal.top.push_back({true, gain, static_cast<NodeId>(node)});
+      PREFCOVER_ASSIGN_OR_RETURN(std::string more, kv.GetString("more"));
+      PREFCOVER_ASSIGN_OR_RETURN(std::vector<CandidateProposal> rest,
+                                 ParseScoredCsv(more));
+      proposal.top.insert(proposal.top.end(), rest.begin(), rest.end());
     }
+    // The merge sorts by gain, which needs an order.
+    for (const CandidateProposal& entry : proposal.top) {
+      if (std::isnan(entry.gain)) {
+        return Status::InvalidArgument("proposed gain is NaN");
+      }
+    }
+    PREFCOVER_ASSIGN_OR_RETURN(proposal.bound, kv.GetF64("bound"));
     PREFCOVER_ASSIGN_OR_RETURN(uint64_t evals, kv.GetU64("evals"));
     PREFCOVER_ASSIGN_OR_RETURN(uint64_t pops, kv.GetU64("pops"));
     PREFCOVER_ASSIGN_OR_RETURN(uint64_t stale, kv.GetU64("stale"));
@@ -469,6 +579,10 @@ class DistributedCandidateEvaluator : public CandidateEvaluator {
   std::string simd_name_;
   std::vector<WorkerHandle> workers_;
   size_t seed_cap_ = 0;  // per-worker seed capacity of the current partition
+  // The current batch: exact winners for sequences batch_begin_, ...,
+  // handed to the driver one per BestCandidate.
+  std::vector<CandidateProposal> batch_;
+  size_t batch_begin_ = 0;
   EvaluatorCounters tally_;
   std::string last_error_ = "no failures recorded";
 

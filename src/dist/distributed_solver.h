@@ -5,12 +5,16 @@
 // DistributedCandidateEvaluator: candidates are partitioned into
 // contiguous shards across worker processes, each worker runs
 // bound-ordered lazy CELF over its shard against a full-graph residual
-// state, and each round the coordinator merges the per-shard exact
-// argmaxes — max gain, ties toward the smaller node id, the canonical
-// tie-break — then broadcasts the committed winner. Because the max of
-// per-shard exact argmaxes IS the global exact argmax (the GreeDIMM
-// decomposition), the selection sequence is byte-identical to
-// SolveGreedyLazy for any worker count.
+// state, and each fan-out round the coordinator merges the per-shard
+// exact top lists — max gain, ties toward the smaller node id, the
+// canonical tie-break. Because the max of per-shard exact argmaxes IS the
+// global exact argmax (the GreeDIMM decomposition), the first merged
+// entry is the round's winner; later entries whose gain beats every
+// shard's bound on its unsent candidates, and whose in-neighbourhood no
+// earlier entry touched, are the exact winners of the following rounds.
+// The driver takes that batch one item per round and one commit
+// broadcasts it, so the selection sequence is byte-identical to
+// SolveGreedyLazy for any worker count (DISTRIBUTED.md has the proof).
 //
 // Failure model (asserted by tests/dist/dist_chaos_test.cc): each verb
 // travels through serve::ResilientClient, so transient faults (injected
@@ -73,9 +77,10 @@ struct DistSolveOptions {
   /// degrades to a serial loop (same result, one RTT per worker).
   ThreadPool* pool = nullptr;
 
-  /// Test seam: called at the top of every selection round with the
-  /// number of selections committed so far. The chaos harness uses it to
-  /// kill a worker mid-solve at a deterministic point.
+  /// Test seam: called at the top of every selection round (also the
+  /// ones served from a batch, without wire traffic) with the number of
+  /// selections committed so far. The chaos harness uses it to kill a
+  /// worker mid-solve at a deterministic point.
   std::function<void(size_t committed)> on_round;
 };
 

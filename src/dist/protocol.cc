@@ -87,5 +87,34 @@ Result<std::vector<NodeId>> ParseNodeCsv(std::string_view text) {
   return nodes;
 }
 
+std::string FormatScoredCsv(std::span<const CandidateProposal> entries) {
+  if (entries.empty()) return "-";
+  std::string out;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(entries[i].node) + ":" + FormatF64(entries[i].gain);
+  }
+  return out;
+}
+
+Result<std::vector<CandidateProposal>> ParseScoredCsv(std::string_view text) {
+  std::vector<CandidateProposal> entries;
+  if (text == "-" || text.empty()) return entries;
+  for (const std::string& token : SplitString(text, ',')) {
+    const size_t colon = token.find(':');
+    if (colon == std::string::npos) {
+      return Status::InvalidArgument("not a <node>:<gain> pair: " + token);
+    }
+    CandidateProposal entry;
+    entry.found = true;
+    PREFCOVER_ASSIGN_OR_RETURN(entry.node,
+                               ParseUint32(token.substr(0, colon)));
+    PREFCOVER_ASSIGN_OR_RETURN(entry.gain,
+                               ParseDouble(token.substr(colon + 1)));
+    entries.push_back(entry);
+  }
+  return entries;
+}
+
 }  // namespace dist
 }  // namespace prefcover

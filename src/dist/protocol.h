@@ -11,7 +11,9 @@
 // Verbs (coordinator -> worker):
 //
 //   hello
-//     -> OK hello prefcover-dist v=1 nodes=<n>
+//     -> OK hello prefcover-dist v=2 nodes=<n>
+//     The coordinator sends it before every init and refuses a worker
+//     whose v= differs from its own kProtocolVersion.
 //   init shard=<begin>:<end> variant=<name> k=<k> simd=<level>
 //        seed_cap=<cap> digest=<u64> opts=<u64> exclude=<csv|->
 //        prefix=<csv|->
@@ -22,19 +24,28 @@
 //     and a CelfShardEngine over [begin, end). Idempotent.
 //     -> OK init seq=<P> cover=<f>
 //   propose seq=<s>
-//     The shard's exact (gain, id)-argmax for commit sequence <s>
+//     The shard's exact top kProposeDepth candidates for commit sequence
+//     <s>, by (gain desc, id asc), each settled to a fresh gain
 //     (repeatable: proposing twice without a commit returns the same
-//     answer). The reply carries the engine's drained work tallies so
-//     the coordinator can fold them into SolverStats.
+//     list). The head travels as node/gain, the rest as `more`, a
+//     comma-separated list of <v>:<gain> pairs ("-" when empty). `bound`
+//     is U: no live candidate of the shard outside the list has a gain
+//     above it (-inf when none is left). The tallies are the engine's
+//     drained work counts, which the coordinator folds into SolverStats.
 //     -> OK propose seq=<s> found=<0|1> [node=<v> gain=<f>]
-//        evals=<u> pops=<u> stale=<u> refills=<u>
-//   commit seq=<s> node=<v>
-//     Applies round <s>'s committed winner (any shard's): AddNode +
-//     engine round advance. Exactly-once with a replay window: seq == current
-//     applies; seq == current-1 with the same node returns the cached
-//     reply (a retry after a lost response); anything else is
-//     ERR FailedPrecondition and the coordinator must re-init.
-//     -> OK commit seq=<s+1> cover=<f>
+//        more=<v:f,...|-> bound=<f> evals=<u> pops=<u> stale=<u>
+//        refills=<u>
+//   commit seq=<s> node=<v>[,<v>...]
+//     Applies a batch of committed winners (any shard's), in order, as
+//     sequences s, s+1, ...: AddNode for each, then the engine round
+//     advances. A single winner is a list of length one. The list must
+//     name distinct, unretained nodes; a refused list applies none of
+//     them. Exactly-once with a replay window: seq == current applies;
+//     the previous commit's seq with the same list returns its cached
+//     reply byte for byte (a retry after a lost response); anything else
+//     is ERR FailedPrecondition and the coordinator must re-init.
+//     -> OK commit seq=<s+m> cover=<f> [proposal fields, as propose's,
+//        for sequence s+m unless s+m reaches k]
 //   ckpt
 //     The worker's committed prefix, for coordinator cross-checks and
 //     shard re-assignment.
@@ -52,12 +63,14 @@
 #ifndef PREFCOVER_DIST_PROTOCOL_H_
 #define PREFCOVER_DIST_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/candidate_evaluator.h"
 #include "graph/preference_graph.h"
 #include "util/status.h"
 
@@ -65,8 +78,14 @@ namespace prefcover {
 namespace dist {
 
 /// \brief Protocol version spoken by DistWorker; bumped on any breaking
-/// grammar change.
-inline constexpr int kProtocolVersion = 1;
+/// grammar change. v=2: propose returns a settled top list plus a bound,
+/// and commit carries a list.
+inline constexpr int kProtocolVersion = 2;
+
+/// \brief How many settled candidates a worker proposes per round: the
+/// most one shard can contribute to a batch the coordinator commits with
+/// one fan-out.
+inline constexpr size_t kProposeDepth = 8;
 
 /// \brief Names of the global `dist.*` instruments the coordinator
 /// publishes (catalog in OBSERVABILITY.md).
@@ -109,6 +128,11 @@ class KvArgs {
 /// field would be indistinguishable from a missing key).
 std::string FormatNodeCsv(std::span<const NodeId> nodes);
 Result<std::vector<NodeId>> ParseNodeCsv(std::string_view text);
+
+/// \brief Comma-separated `<v>:<gain>` pairs (gains as FormatF64); "-"
+/// encodes the empty list. Parsed entries have `found` set.
+std::string FormatScoredCsv(std::span<const CandidateProposal> entries);
+Result<std::vector<CandidateProposal>> ParseScoredCsv(std::string_view text);
 
 }  // namespace dist
 }  // namespace prefcover

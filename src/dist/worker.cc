@@ -1,5 +1,6 @@
 #include "dist/worker.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -187,17 +188,25 @@ std::string DistWorker::HandlePropose(const std::string& args) {
 }
 
 std::string DistWorker::ProposalFields() {
-  const CandidateProposal proposal = engine_->Propose();
+  double bound = 0.0;
+  const std::span<const CelfHeapEntry> top =
+      engine_->ProposeTop(kProposeDepth, &bound);
   EvaluatorCounters tally;
   engine_->DrainCounters(&tally);
   EvaluatorCounters copy = tally;
   totals_.MergeFrom(&copy);
 
-  std::string fields = std::string("found=") + (proposal.found ? "1" : "0");
-  if (proposal.found) {
-    fields += " node=" + std::to_string(proposal.node);
-    fields += " gain=" + FormatF64(proposal.gain);
+  std::string fields = std::string("found=") + (top.empty() ? "0" : "1");
+  std::vector<CandidateProposal> more;
+  if (!top.empty()) {
+    fields += " node=" + std::to_string(top.front().node);
+    fields += " gain=" + FormatF64(top.front().gain);
+    for (const CelfHeapEntry& entry : top.subspan(1)) {
+      more.push_back({true, entry.gain, entry.node});
+    }
   }
+  fields += " more=" + FormatScoredCsv(more);
+  fields += " bound=" + FormatF64(bound);
   fields += " evals=" + std::to_string(tally.gain_evaluations);
   fields += " pops=" + std::to_string(tally.heap_pops);
   fields += " stale=" + std::to_string(tally.stale_refreshes);
@@ -212,14 +221,19 @@ std::string DistWorker::HandleCommit(const std::string& args) {
   const KvArgs kv(args);
   auto seq = kv.GetU64("seq");
   if (!seq.ok()) return Err(seq.status());
-  auto node = kv.GetU64("node");
-  if (!node.ok()) return Err(node.status());
+  auto node_raw = kv.GetString("node");
+  if (!node_raw.ok()) return Err(node_raw.status());
+  auto nodes = ParseNodeCsv(*node_raw);
+  if (!nodes.ok()) return Err(nodes.status());
+  if (nodes->empty()) {
+    return Err(Status::InvalidArgument("commit names no node"));
+  }
 
   // Replay window: a retried commit whose original reply was lost in
   // transit (the ResilientClient reconnect path) is answered from cache
   // instead of re-applied — exactly-once application.
-  if (*seq + 1 == seq_ && !prefix_.empty() && *node == prefix_.back() &&
-      !last_commit_reply_.empty()) {
+  if (!last_commit_reply_.empty() && *seq == last_commit_seq_ &&
+      *nodes == last_commit_nodes_) {
     return last_commit_reply_;
   }
   if (*seq != seq_) {
@@ -227,25 +241,37 @@ std::string DistWorker::HandleCommit(const std::string& args) {
         "commit seq " + std::to_string(*seq) + " != worker seq " +
         std::to_string(seq_) + "; re-init required"));
   }
+  // Validate the whole list before applying any of it.
   const size_t n = graph_->NumNodes();
-  if (*node >= n) {
+  std::vector<NodeId> sorted = *nodes;
+  std::ranges::sort(sorted);
+  if (sorted.back() >= n) {
     return Err(Status::InvalidArgument("commit node out of range"));
   }
-  const NodeId v = static_cast<NodeId>(*node);
-  if (state_->IsRetained(v)) {
-    return Err(Status::FailedPrecondition(
-        "commit node already retained: " + std::to_string(v)));
+  if (std::ranges::adjacent_find(sorted) != sorted.end()) {
+    return Err(Status::InvalidArgument("commit names a node twice"));
   }
-  state_->AddNode(v);
-  engine_->OnCommitted(v);
-  prefix_.push_back(v);
-  ++seq_;
+  for (NodeId v : *nodes) {
+    if (state_->IsRetained(v)) {
+      return Err(Status::FailedPrecondition(
+          "commit node already retained: " + std::to_string(v)));
+    }
+  }
+  // Every AddNode first, in order, then the engine rounds: residuals and
+  // cover bits are those of one commit per round, and the engine drops
+  // every held proposal the batch committed instead of recycling it.
+  for (NodeId v : *nodes) state_->AddNode(v);
+  for (NodeId v : *nodes) engine_->OnCommitted(v);
+  prefix_.insert(prefix_.end(), nodes->begin(), nodes->end());
+  last_commit_seq_ = *seq;
+  last_commit_nodes_ = std::move(*nodes);
+  seq_ = prefix_.size();
   last_commit_reply_ = "OK commit seq=" + std::to_string(seq_) +
                        " cover=" + FormatF64(state_->cover());
   // Piggyback the next round's proposal on the commit reply so the
   // coordinator's steady-state round costs one fan-out barrier, not two.
-  // Propose() is repeatable, so a coordinator that asks again anyway (or
-  // replays this commit) sees the same bytes; skipping at seq_ == k
+  // ProposeTop() is repeatable, so a coordinator that asks again anyway
+  // (or replays this commit) sees the same list; skipping at seq_ >= k
   // avoids proposing for a round the budget rules out.
   if (seq_ < k_) {
     last_commit_reply_ += " " + ProposalFields();

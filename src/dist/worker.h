@@ -2,9 +2,9 @@
 // contiguous candidate shard of the graph and answers the dist protocol
 // (src/dist/protocol.h) — `init` rebuilds a full-graph CoverState plus a
 // CelfShardEngine over the shard, `propose` runs bound-ordered lazy CELF
-// locally and returns the shard's exact argmax, `commit` applies a
-// committed winner (any shard's) so the local residuals track the global
-// retained set.
+// locally and returns the shard's exact top kProposeDepth candidates with
+// a bound on the rest, `commit` applies a batch of committed winners (any
+// shard's) so the local residuals track the global retained set.
 //
 // The worker is deliberately state-per-process, not state-per-connection:
 // a coordinator whose connection dies mid-solve reconnects (the
@@ -65,10 +65,10 @@ class DistWorker {
   std::string HandleCkpt();
   std::string HandleStats();
 
-  // Runs the engine's (repeatable) Propose for the current round and
-  // formats the shared proposal key/values (`found= [node= gain=]
-  // evals= pops= stale= refills=`) used by both the `propose` reply and
-  // the piggyback on the `commit` reply.
+  // Runs the engine's (repeatable) ProposeTop for the current round and
+  // formats the shared proposal key/values (`found= [node= gain=] more=
+  // bound= evals= pops= stale= refills=`) used by both the `propose`
+  // reply and the piggyback on the `commit` reply.
   std::string ProposalFields();
 
   const PreferenceGraph* graph_;
@@ -80,7 +80,11 @@ class DistWorker {
   std::vector<NodeId> prefix_;  // every committed selection, in order
   uint64_t seq_ = 0;            // == prefix_.size()
   uint64_t k_ = 0;              // solve budget, bounds the piggyback
-  std::string last_commit_reply_;  // one-deep replay cache for retries
+  // One-deep replay cache for retries: the last applied commit's seq,
+  // list and reply.
+  uint64_t last_commit_seq_ = 0;
+  std::vector<NodeId> last_commit_nodes_;
+  std::string last_commit_reply_;
   EvaluatorCounters totals_;       // cumulative since init, for `stats`
 };
 

@@ -48,6 +48,54 @@ TEST(BenchRunnerTest, RunsWarmupPlusRepetitions) {
   EXPECT_LE(r.wall.p95_ms, r.wall.max_ms);
 }
 
+TEST(BenchRunnerTest, MeasureTimesAGroupRoundRobin) {
+  // Every case's warmup first, then one timed repetition of each case per
+  // pass; the results come back in case order and are appended only by
+  // Add.
+  BenchRunner runner(TestConfig());
+  std::string calls;
+  auto logging_case = [&calls](const std::string& name, char tag) {
+    BenchCase bench_case;
+    bench_case.name = name;
+    bench_case.run = [&calls, tag](BenchRecorder* recorder) -> Status {
+      calls += tag;
+      recorder->Record("calls", static_cast<double>(calls.size()));
+      return Status::OK();
+    };
+    return bench_case;
+  };
+  const std::vector<BenchCase> group = {logging_case("case/a", 'a'),
+                                        logging_case("case/b", 'b'),
+                                        logging_case("case/c", 'c')};
+  auto results = runner.Measure(group);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  EXPECT_EQ(calls, "aabbcc" "abcabcabc");
+  ASSERT_EQ(results->size(), 3u);
+  EXPECT_EQ((*results)[0].name, "case/a");
+  EXPECT_EQ((*results)[2].name, "case/c");
+  // Each case keeps its own last repetition's counters.
+  ASSERT_EQ((*results)[1].counters.size(), 1u);
+  EXPECT_EQ((*results)[1].counters[0].second, 14.0);
+  EXPECT_TRUE(runner.results().empty());
+  for (BenchResult& result : *results) {
+    ASSERT_TRUE(runner.Add(std::move(result)).ok());
+  }
+  ASSERT_EQ(runner.results().size(), 3u);
+  EXPECT_EQ(runner.results()[1].name, "case/b");
+
+  // Names stay unique: within a group, against recorded cases, and on Add.
+  calls.clear();
+  const std::vector<BenchCase> twice = {logging_case("case/d", 'd'),
+                                        logging_case("case/d", 'd')};
+  EXPECT_FALSE(runner.Measure(twice).ok());
+  const std::vector<BenchCase> recorded = {logging_case("case/a", 'a')};
+  EXPECT_FALSE(runner.Measure(recorded).ok());
+  EXPECT_EQ(calls, "");
+  BenchResult again;
+  again.name = "case/b";
+  EXPECT_FALSE(runner.Add(again).ok());
+}
+
 TEST(BenchRunnerTest, CountersAreNameSorted) {
   BenchRunner runner(TestConfig());
   int invocations = 0;

@@ -6,9 +6,11 @@
 // the net.* failpoints inside the workers so read/write faults hit the
 // wire for real — the ResilientClient retry path plus the exactly-once
 // commit must absorb them without changing a byte. The solve fails
-// (promptly, not by hanging) only when every worker is gone. Last, the
-// CLI's `solve --workers` against two real workers writes the same files
-// as `solve --algorithm=lazy`, under force lists, deadlines and resume.
+// (promptly, not by hanging) only when every worker is gone. A kill
+// between a batch's merge and its commit fan-out takes the same path.
+// Last, the CLI's `solve --workers` against two real workers writes the
+// same files as `solve --algorithm=lazy`, under force lists, deadlines
+// and resume.
 
 #if !defined(__unix__) && !defined(__APPLE__)
 // POSIX-only, like the transport under test.
@@ -241,6 +243,55 @@ TEST_F(DistChaosTest, WorkerKilledMidSolveIsRebalancedByteIdentically) {
 
   const auto after = obs::MetricsRegistry::Global().Snapshot();
   EXPECT_GE(after.CounterOr(dist_metric::kWorkerFailures),
+            before.CounterOr(dist_metric::kWorkerFailures) + 1);
+  EXPECT_GE(after.CounterOr(dist_metric::kRebalances),
+            before.CounterOr(dist_metric::kRebalances) + 1);
+}
+
+TEST_F(DistChaosTest, WorkerKilledWithABatchedCommitInFlightIsRebalanced) {
+  std::vector<WorkerProc> workers = Spawn(4);
+  ASSERT_EQ(workers.size(), 4u);
+  // A pilot solve on the healthy fleet finds the batches: a count at
+  // which dist.rounds did not move was handed out from a batch merged
+  // earlier, with no wire traffic.
+  obs::Counter* rounds =
+      obs::MetricsRegistry::Global().GetCounter(dist_metric::kRounds);
+  std::vector<uint64_t> rounds_before;
+  DistSolveOptions pilot = Fleet(workers);
+  pilot.on_round = [&](size_t) { rounds_before.push_back(rounds->Value()); };
+  auto piloted =
+      SolveGreedyDistributed(*graph_, kBudget, GreedyOptions(), pilot);
+  ASSERT_TRUE(piloted.ok()) << piloted.status().ToString();
+  size_t mid_batch = 0;
+  for (size_t c = 2; c + 1 < rounds_before.size(); ++c) {
+    if (rounds_before[c + 1] == rounds_before[c]) {
+      mid_batch = c;
+      break;
+    }
+  }
+  ASSERT_GT(mid_batch, 0u) << "no batch of two or more items";
+
+  // SIGKILL the last worker inside that batch: it has been merged, so its
+  // commit, which carries the whole list, is the next message on the
+  // wire and the first to find the worker gone.
+  DistSolveOptions options = Fleet(workers);
+  WorkerProc* victim = &workers.back();
+  options.on_round = [victim, mid_batch](size_t committed) {
+    if (victim->killed || committed != mid_batch) return;
+    ::kill(victim->pid, SIGKILL);
+    ::waitpid(victim->pid, nullptr, 0);
+    victim->pid = -1;
+    victim->killed = true;
+  };
+  const auto before = obs::MetricsRegistry::Global().Snapshot();
+  auto solution =
+      SolveGreedyDistributed(*graph_, kBudget, GreedyOptions(), options);
+  Reap(&workers);
+  ASSERT_TRUE(solution.ok()) << solution.status().ToString();
+  ASSERT_TRUE(victim->killed) << "solve ended before the kill round";
+  ExpectByteIdentical(*solution, *reference_);
+  const auto after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(after.CounterOr(dist_metric::kWorkerFailures),
             before.CounterOr(dist_metric::kWorkerFailures) + 1);
   EXPECT_GE(after.CounterOr(dist_metric::kRebalances),
             before.CounterOr(dist_metric::kRebalances) + 1);

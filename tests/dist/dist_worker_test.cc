@@ -2,18 +2,23 @@
 // sockets): init validation — including the graph-digest instance check
 // and the bad-init-leaves-state-intact guarantee — the propose/commit
 // sequence discipline, exactly-once commit via the one-deep replay
-// cache, prefix resume, and the core identity: a full-range worker
+// cache (single items and batches), prefix resume, the proposal list's
+// exactness (fresh gains, and a bound above every unsent candidate,
+// checked by brute force), and the core identity: a full-range worker
 // driven verb-by-verb reproduces SolveGreedyLazy byte-for-byte, and two
 // half-range workers merged with the canonical tie-break do too.
 
 #include "dist/worker.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.h"
+#include "core/cover_state.h"
 #include "core/greedy_solver.h"
 #include "dist/protocol.h"
 #include "graph/graph_generators.h"
@@ -40,13 +45,15 @@ PreferenceGraph MakeGraph(uint64_t seed, uint32_t num_nodes = 60) {
 std::string InitLine(const PreferenceGraph& graph, size_t k,
                      size_t shard_begin, size_t shard_end,
                      const std::vector<NodeId>& prefix = {},
-                     const std::vector<NodeId>& exclude = {}) {
+                     const std::vector<NodeId>& exclude = {},
+                     size_t seed_cap = 1024) {
   GreedyOptions options;
   return "init shard=" + std::to_string(shard_begin) + ":" +
          std::to_string(shard_end) +
          " variant=independent simd=" +
          std::string(SimdLevelName(ActiveSimdLevel())) +
-         " k=" + std::to_string(k) + " seed_cap=1024" +
+         " k=" + std::to_string(k) +
+         " seed_cap=" + std::to_string(seed_cap) +
          " digest=" + std::to_string(GraphDigest(graph)) +
          " opts=" + std::to_string(GreedyOptionsHash(options, k)) +
          " exclude=" + FormatNodeCsv(exclude) +
@@ -439,6 +446,174 @@ TEST(DistWorkerTest, StatsAccumulateAndCkptReportsPrefix) {
   ASSERT_TRUE(evals.ok());
   // Seeding the CELF heap alone evaluates every candidate once.
   EXPECT_GT(*evals, 0u);
+}
+
+/// The settled list a propose (or commit piggyback) carries: the head
+/// from node/gain, the rest from `more`.
+std::vector<CandidateProposal> ProposedList(const KvArgs& proposal) {
+  std::vector<CandidateProposal> list;
+  auto found = proposal.GetU64("found");
+  EXPECT_TRUE(found.ok());
+  if (!found.ok() || *found == 0) return list;
+  auto node = proposal.GetU64("node");
+  auto gain = proposal.GetF64("gain");
+  auto more = proposal.GetString("more");
+  EXPECT_TRUE(node.ok() && gain.ok() && more.ok());
+  if (!node.ok() || !gain.ok() || !more.ok()) return list;
+  list.push_back({true, *gain, static_cast<NodeId>(*node)});
+  auto rest = ParseScoredCsv(*more);
+  EXPECT_TRUE(rest.ok()) << *more;
+  if (rest.ok()) list.insert(list.end(), rest->begin(), rest->end());
+  return list;
+}
+
+std::string CkptPrefix(DistWorker* worker) {
+  auto prefix = ReplyKv(Call(worker, "ckpt"), "ckpt").GetString("prefix");
+  EXPECT_TRUE(prefix.ok());
+  return prefix.ok() ? *prefix : "";
+}
+
+TEST(DistWorkerTest, RetriedBatchCommitReturnsTheCachedReply) {
+  PreferenceGraph graph = MakeGraph(14, 120);
+  DistWorker worker(&graph);
+  ASSERT_EQ(Call(&worker, InitLine(graph, 10, 0, graph.NumNodes()))
+                .rfind("OK init", 0),
+            0u);
+  const std::vector<CandidateProposal> list =
+      ProposedList(ReplyKv(Call(&worker, "propose seq=0"), "propose"));
+  ASSERT_GE(list.size(), 3u);
+  const std::vector<NodeId> batch = {list[0].node, list[1].node,
+                                     list[2].node};
+  const std::string commit_line = "commit seq=0 node=" + FormatNodeCsv(batch);
+  const std::string first = Call(&worker, commit_line);
+  EXPECT_EQ(first.rfind("OK commit seq=3 ", 0), 0u) << first;
+  EXPECT_EQ(worker.seq(), 3u);
+  // The lost-reply retry: the same seq and list, answered from the cache
+  // byte for byte (piggybacked proposal included), applied once.
+  EXPECT_EQ(Call(&worker, commit_line), first);
+  EXPECT_EQ(worker.seq(), 3u);
+  EXPECT_EQ(CkptPrefix(&worker), FormatNodeCsv(batch));
+}
+
+TEST(DistWorkerTest, RefusedBatchCommitAppliesNoneOfItsItems) {
+  PreferenceGraph graph = MakeGraph(15, 120);
+  DistWorker worker(&graph);
+  ASSERT_EQ(Call(&worker, InitLine(graph, 20, 0, graph.NumNodes()))
+                .rfind("OK init", 0),
+            0u);
+  const std::vector<CandidateProposal> list =
+      ProposedList(ReplyKv(Call(&worker, "propose seq=0"), "propose"));
+  ASSERT_GE(list.size(), 4u);
+  const NodeId a = list[0].node;
+  const NodeId b = list[1].node;
+  const NodeId c = list[2].node;
+  const NodeId d = list[3].node;
+  const std::string applied = Call(
+      &worker, "commit seq=0 node=" + FormatNodeCsv(std::vector{a, b}));
+  ASSERT_EQ(applied.rfind("OK commit seq=2 ", 0), 0u) << applied;
+  const std::string prefix = FormatNodeCsv(std::vector{a, b});
+  const std::string cover =
+      *ReplyKv(applied, "commit").GetString("cover");
+
+  struct Case {
+    const char* label;
+    std::string line;
+  };
+  const Case refused[] = {
+      {"same seq, different list",
+       "commit seq=0 node=" + FormatNodeCsv(std::vector{a, c})},
+      {"same seq, longer list",
+       "commit seq=0 node=" + FormatNodeCsv(std::vector{a, b, c})},
+      {"names a retained node",
+       "commit seq=2 node=" + FormatNodeCsv(std::vector{c, b})},
+      {"names a node twice",
+       "commit seq=2 node=" + FormatNodeCsv(std::vector{c, d, c})},
+      {"node out of range",
+       "commit seq=2 node=" + std::to_string(c) + "," +
+           std::to_string(graph.NumNodes())},
+      {"empty list", "commit seq=2 node=-"},
+  };
+  for (const Case& bad : refused) {
+    EXPECT_EQ(Call(&worker, bad.line).rfind("ERR ", 0), 0u) << bad.label;
+    EXPECT_EQ(worker.seq(), 2u) << bad.label;
+    EXPECT_EQ(CkptPrefix(&worker), prefix) << bad.label;
+  }
+  // Nothing of the refused lists reached the cover: committing c and d
+  // now gives the cover of a, b, c, d applied in order and nothing else.
+  const std::string next = Call(
+      &worker, "commit seq=2 node=" + FormatNodeCsv(std::vector{c, d}));
+  ASSERT_EQ(next.rfind("OK commit seq=4 ", 0), 0u) << next;
+  CoverState reference(&graph, Variant::kIndependent, ActiveSimdLevel());
+  for (NodeId v : {a, b, c, d}) reference.AddNode(v);
+  EXPECT_EQ(*ReplyKv(next, "commit").GetString("cover"),
+            FormatF64(reference.cover()));
+  EXPECT_NE(cover, FormatF64(reference.cover()));
+}
+
+TEST(DistWorkerTest, ProposedListIsExactAndBoundCoversTheRest) {
+  // A middle shard with a seed capacity far below its size, so the engine
+  // walks, cuts at theta, refills and stops settling at theta along the
+  // way. Every round, checked by brute force over the shard against a
+  // CoverState that replays the same prefix: each sent gain is a fresh
+  // GainOf, the list is the shard's exact top by (gain desc, id asc), and
+  // every unsent live candidate's gain is at most the bound.
+  PreferenceGraph graph = MakeGraph(16, 400);
+  const size_t begin = 100;
+  const size_t end = 340;
+  const size_t k = 60;
+  for (size_t seed_cap : {size_t{4}, size_t{16}, size_t{1024}}) {
+    DistWorker worker(&graph);
+    ASSERT_EQ(Call(&worker, InitLine(graph, k, begin, end, {}, {}, seed_cap))
+                  .rfind("OK init", 0),
+              0u);
+    CoverState state(&graph, Variant::kIndependent, ActiveSimdLevel());
+    size_t short_lists = 0;
+    for (size_t round = 0; round < k; ++round) {
+      const std::string label = "seed_cap=" + std::to_string(seed_cap) +
+                                " round " + std::to_string(round);
+      const KvArgs proposal = ReplyKv(
+          Call(&worker, "propose seq=" + std::to_string(round)), "propose");
+      const std::vector<CandidateProposal> list = ProposedList(proposal);
+      auto bound = proposal.GetF64("bound");
+      ASSERT_TRUE(bound.ok()) << label;
+      ASSERT_LE(list.size(), kProposeDepth) << label;
+      std::vector<CandidateProposal> live;
+      for (size_t v = begin; v < end; ++v) {
+        const NodeId node = static_cast<NodeId>(v);
+        if (!state.IsRetained(node)) {
+          live.push_back({true, state.GainOf(node), node});
+        }
+      }
+      std::ranges::sort(live, BetterProposal);
+      ASSERT_GE(live.size(), list.size()) << label;
+      for (size_t i = 0; i < list.size(); ++i) {
+        EXPECT_EQ(list[i].node, live[i].node) << label << " entry " << i;
+        EXPECT_EQ(std::memcmp(&list[i].gain, &live[i].gain, sizeof(double)),
+                  0)
+            << label << " entry " << i;
+      }
+      for (size_t i = list.size(); i < live.size(); ++i) {
+        EXPECT_LE(live[i].gain, *bound) << label << " node " << live[i].node;
+      }
+      if (list.size() < std::min(kProposeDepth, live.size())) ++short_lists;
+      if (list.empty()) break;
+      // Commit the head plus the next entry when there is one, so the
+      // engine also recycles held entries across batches.
+      std::vector<NodeId> batch = {list[0].node};
+      if (list.size() > 1 && round + 1 < k) batch.push_back(list[1].node);
+      ASSERT_EQ(Call(&worker, "commit seq=" + std::to_string(round) +
+                                  " node=" + FormatNodeCsv(batch))
+                    .rfind("OK commit", 0),
+                0u)
+          << label;
+      for (NodeId v : batch) state.AddNode(v);
+      round += batch.size() - 1;
+    }
+    if (seed_cap == 4) {
+      // The settle did stop at theta at least once at this capacity.
+      EXPECT_GT(short_lists, 0u);
+    }
+  }
 }
 
 TEST(DistWorkerTest, QuitEndsSessionShutdownEndsServer) {
