@@ -284,7 +284,9 @@ class CelfShardEngine {
   /// key and (for a truncated seed) theta's key, or -inf when neither
   /// exists: stored keys and theta bound true keys from above
   /// (submodularity), so U bounds every live candidate not returned.
-  /// Repeatable until OnCommitted; Propose() is the depth-1 case.
+  /// Repeatable until OnCommitted; Propose() is the depth-1 case. The
+  /// span views the engine's held entries and is valid until the next
+  /// ProposeTop or OnCommitted.
   std::span<const CelfHeapEntry> ProposeTop(size_t depth, double* bound);
 
   /// Advances past a committed selection. `winner` may belong to any

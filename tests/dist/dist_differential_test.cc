@@ -179,32 +179,6 @@ void ExpectByteIdentical(const Solution& dist, const Solution& reference,
       << label;
 }
 
-// Spawns `num_workers` servers on `graph`, solves, compares against the
-// single-process reference.
-void RunDistAndCompare(const DiffInstance& instance,
-                       const Solution& reference, size_t num_workers,
-                       const std::string& simd_level = "",
-                       ThreadPool* pool = nullptr) {
-  std::vector<std::unique_ptr<WorkerServer>> servers;
-  DistSolveOptions dist_options;
-  for (size_t i = 0; i < num_workers; ++i) {
-    servers.push_back(std::make_unique<WorkerServer>(&instance.graph));
-    DistWorkerEndpoint endpoint;
-    endpoint.port = servers.back()->port();
-    dist_options.workers.push_back(endpoint);
-  }
-  dist_options.simd_level = simd_level;
-  dist_options.pool = pool;
-  auto dist = SolveGreedyDistributed(instance.graph, instance.k,
-                                     instance.options, dist_options);
-  const std::string label =
-      instance.label + " workers=" + std::to_string(num_workers) +
-      (simd_level.empty() ? "" : " simd=" + simd_level);
-  ASSERT_TRUE(dist.ok()) << label << ": " << dist.status().ToString();
-  EXPECT_EQ(dist->algorithm, "greedy-dist") << label;
-  ExpectByteIdentical(*dist, reference, label);
-}
-
 // `count` in-process servers on `graph` and the options that reach them.
 DistSolveOptions StartFleet(const PreferenceGraph& graph, size_t count,
                             std::vector<std::unique_ptr<WorkerServer>>* servers,
@@ -217,6 +191,27 @@ DistSolveOptions StartFleet(const PreferenceGraph& graph, size_t count,
     dist_options.workers.push_back(endpoint);
   }
   return dist_options;
+}
+
+// Spawns `num_workers` servers on `graph`, solves, compares against the
+// single-process reference.
+void RunDistAndCompare(const DiffInstance& instance,
+                       const Solution& reference, size_t num_workers,
+                       const std::string& simd_level = "",
+                       ThreadPool* pool = nullptr) {
+  std::vector<std::unique_ptr<WorkerServer>> servers;
+  DistSolveOptions dist_options =
+      StartFleet(instance.graph, num_workers, &servers);
+  dist_options.simd_level = simd_level;
+  dist_options.pool = pool;
+  auto dist = SolveGreedyDistributed(instance.graph, instance.k,
+                                     instance.options, dist_options);
+  const std::string label =
+      instance.label + " workers=" + std::to_string(num_workers) +
+      (simd_level.empty() ? "" : " simd=" + simd_level);
+  ASSERT_TRUE(dist.ok()) << label << ": " << dist.status().ToString();
+  EXPECT_EQ(dist->algorithm, "greedy-dist") << label;
+  ExpectByteIdentical(*dist, reference, label);
 }
 
 uint64_t DistCounter(const char* name) {
@@ -340,13 +335,8 @@ TEST(DistDifferentialTest, EvaluatorFactoryComposesWithGenericDriver) {
   ASSERT_TRUE(reference.ok());
 
   std::vector<std::unique_ptr<WorkerServer>> servers;
-  DistSolveOptions dist_options;
-  for (size_t i = 0; i < 2; ++i) {
-    servers.push_back(std::make_unique<WorkerServer>(&instance.graph));
-    DistWorkerEndpoint endpoint;
-    endpoint.port = servers.back()->port();
-    dist_options.workers.push_back(endpoint);
-  }
+  const DistSolveOptions dist_options =
+      StartFleet(instance.graph, 2, &servers);
   auto solution = SolveGreedyWithEvaluator(
       instance.graph, instance.k, instance.options,
       MakeDistributedEvaluatorFactory(dist_options), "greedy-dist");
