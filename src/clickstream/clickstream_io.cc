@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_set>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -79,7 +80,9 @@ Status WriteClickstreamCsv(const Clickstream& clickstream,
 Status DecodeClickstreamCsv(std::istream* in, ItemDictionary* dictionary,
                             const ClickstreamSessionSink& sink) {
   CsvReader reader(in);
-  std::vector<std::string> fields;
+  // Views into the reader's block: each record is decoded before the
+  // next Next, and the session id outlives its record only as `sid`.
+  std::vector<std::string_view> fields;
   if (!reader.Next(&fields)) return reader.status();
   if ((fields.size() != 3 && fields.size() != 4) ||
       fields[0] != "session_id") {
@@ -105,10 +108,10 @@ Status DecodeClickstreamCsv(std::istream* in, ItemDictionary* dictionary,
         session.dwell_seconds.clear();
         session.purchase = kInvalidItem;
       }
-      sid = fields[0];
+      sid.assign(fields[0]);
       have_session = true;
     }
-    const std::string& type = fields[1];
+    const std::string_view type = fields[1];
     ItemId item = dictionary->Intern(fields[2]);
     if (type == "click") {
       session.clicks.push_back(item);
@@ -132,8 +135,8 @@ Status DecodeClickstreamCsv(std::istream* in, ItemDictionary* dictionary,
       }
       session.purchase = item;
     } else {
-      return Status::InvalidArgument("unknown event type '" + type +
-                                     "' in record " +
+      return Status::InvalidArgument("unknown event type '" +
+                                     std::string(type) + "' in record " +
                                      std::to_string(reader.record_number()));
     }
   }
@@ -169,7 +172,11 @@ Status WriteClickstreamCsvFile(const Clickstream& clickstream,
                                const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot open for writing: " + path);
-  return WriteClickstreamCsv(clickstream, &out);
+  PREFCOVER_RETURN_NOT_OK(WriteClickstreamCsv(clickstream, &out));
+  // What still sits in the stream's buffer is written only here; a file
+  // small enough to fit in it fails at this flush or not at all.
+  if (!out.flush()) return Status::IOError("failed writing " + path);
+  return Status::OK();
 }
 
 Result<Clickstream> ReadClickstreamCsvFile(const std::string& path) {

@@ -1,6 +1,7 @@
 #include "clickstream/session.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/logging.h"
 
@@ -17,38 +18,53 @@ std::vector<ItemId> Session::Alternatives() const {
   return alts;
 }
 
-std::vector<std::pair<ItemId, double>> Session::AlternativesWithDwell()
-    const {
-  PREFCOVER_DCHECK(!HasDwell() || dwell_seconds.size() == clicks.size());
-  std::vector<std::pair<ItemId, double>> alts;
-  alts.reserve(clicks.size());
-  for (size_t i = 0; i < clicks.size(); ++i) {
-    ItemId item = clicks[i];
-    if (item == purchase) continue;
-    double dwell = HasDwell() ? dwell_seconds[i] : -1.0;
-    auto it = std::find_if(alts.begin(), alts.end(),
-                           [item](const std::pair<ItemId, double>& entry) {
-                             return entry.first == item;
-                           });
-    if (it == alts.end()) {
-      alts.emplace_back(item, dwell);
-    } else if (dwell > it->second) {
-      it->second = dwell;  // keep the longest dwell per item
+namespace {
+
+uint32_t NameTag(std::string_view name) {
+  return static_cast<uint32_t>(std::hash<std::string_view>()(name));
+}
+
+}  // namespace
+
+size_t ItemDictionary::Find(std::string_view name, uint32_t tag) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kInvalidItem ||
+        (slot.tag == tag && names_[slot.id] == name)) {
+      return i;
     }
   }
-  return alts;
 }
 
-ItemId ItemDictionary::Intern(const std::string& name) {
-  auto [it, inserted] =
-      index_.try_emplace(name, static_cast<ItemId>(names_.size()));
-  if (inserted) names_.push_back(name);
-  return it->second;
+ItemId ItemDictionary::Intern(std::string_view name) {
+  if (2 * (names_.size() + 1) > slots_.size()) {
+    // Double the table (from 1024 slots) and re-place every id from its
+    // tag, which is where its probe starts, without rehashing a name.
+    std::vector<Slot> old(std::max<size_t>(1024, 2 * slots_.size()));
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kInvalidItem) continue;
+      size_t i = slot.tag & mask;
+      while (slots_[i].id != kInvalidItem) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+  const uint32_t tag = NameTag(name);
+  Slot& slot = slots_[Find(name, tag)];
+  if (slot.id == kInvalidItem) {
+    PREFCOVER_CHECK_MSG(names_.size() < kInvalidItem,
+                        "item dictionary is full");
+    slot = {static_cast<ItemId>(names_.size()), tag};
+    names_.emplace_back(name);
+  }
+  return slot.id;
 }
 
-ItemId ItemDictionary::Lookup(const std::string& name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? kInvalidItem : it->second;
+ItemId ItemDictionary::Lookup(std::string_view name) const {
+  if (slots_.empty()) return kInvalidItem;
+  return slots_[Find(name, NameTag(name))].id;
 }
 
 const std::string& ItemDictionary::Name(ItemId id) const {

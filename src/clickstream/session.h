@@ -12,7 +12,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -47,21 +47,22 @@ struct Session {
   /// Distinct clicked items other than the purchase — the session's
   /// implied alternatives.
   std::vector<ItemId> Alternatives() const;
-
-  /// Distinct alternatives paired with the longest dwell observed for
-  /// each; dwell is -1 for sessions without dwell data.
-  std::vector<std::pair<ItemId, double>> AlternativesWithDwell() const;
 };
 
 /// \brief Bidirectional mapping between external item names (SKUs) and
 /// dense ItemIds.
+///
+/// Ids are handed out in first-seen order. Names are found through one
+/// flat open-addressing table of ids, so interning a name already seen
+/// (the common case when decoding a clickstream) hashes the view once and
+/// allocates nothing.
 class ItemDictionary {
  public:
   /// Returns the id of `name`, interning it on first sight.
-  ItemId Intern(const std::string& name);
+  ItemId Intern(std::string_view name);
 
   /// Id of `name` or kInvalidItem when unknown.
-  ItemId Lookup(const std::string& name) const;
+  ItemId Lookup(std::string_view name) const;
 
   /// Name of an interned id.
   const std::string& Name(ItemId id) const;
@@ -69,8 +70,21 @@ class ItemDictionary {
   size_t size() const { return names_.size(); }
 
  private:
-  std::unordered_map<std::string, ItemId> index_;
+  /// One slot of the table: an id of names_ (kInvalidItem when empty)
+  /// and its name's 32-bit hash, the tag. A probe starts at the tag's
+  /// low bits and passes over other names by their tags, rarely reading
+  /// one.
+  struct Slot {
+    ItemId id = kInvalidItem;
+    uint32_t tag = 0;
+  };
+
+  /// Index of the slot holding `name` (whose tag is `tag`), or of the
+  /// empty slot that ends its probe. The table must not be empty.
+  size_t Find(std::string_view name, uint32_t tag) const;
+
   std::vector<std::string> names_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
 };
 
 }  // namespace prefcover

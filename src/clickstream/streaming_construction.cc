@@ -1,6 +1,7 @@
 #include "clickstream/streaming_construction.h"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <istream>
 
@@ -12,37 +13,97 @@
 
 namespace prefcover {
 
+namespace {
+
+// Never a real pair: the purchase half would be kInvalidItem.
+constexpr uint64_t kEmptyPair = ~uint64_t{0};
+
+// Fibonacci hashing: the top log2(slots) bits of key * 2^64/phi index a
+// table of `slots` (a power of two) slots.
+size_t PairSlot(uint64_t key, size_t slots) {
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                             (64 - std::countr_zero(slots)));
+}
+
+}  // namespace
+
 StreamingGraphBuilder::StreamingGraphBuilder(
     const GraphConstructionOptions& options)
     : options_(options) {}
 
+void StreamingGraphBuilder::AddPairMass(uint64_t key, double mass) {
+  if (2 * (num_pairs_ + 1) > pair_mass_.size()) {
+    std::vector<PairMass> old(std::max<size_t>(1024, 2 * pair_mass_.size()),
+                              PairMass{kEmptyPair, 0.0});
+    old.swap(pair_mass_);
+    const size_t mask = pair_mass_.size() - 1;
+    for (const PairMass& pair : old) {
+      if (pair.key == kEmptyPair) continue;
+      size_t i = PairSlot(pair.key, pair_mass_.size());
+      while (pair_mass_[i].key != kEmptyPair) i = (i + 1) & mask;
+      pair_mass_[i] = pair;
+    }
+  }
+  const size_t mask = pair_mass_.size() - 1;
+  for (size_t i = PairSlot(key, pair_mass_.size());; i = (i + 1) & mask) {
+    PairMass& pair = pair_mass_[i];
+    if (pair.key == key) {
+      pair.mass += mass;
+      return;
+    }
+    if (pair.key == kEmptyPair) {
+      pair = {key, mass};
+      ++num_pairs_;
+      return;
+    }
+  }
+}
+
 void StreamingGraphBuilder::AddSession(const Session& session) {
   ++sessions_seen_;
   if (!session.HasPurchase()) return;
-  ItemId p = session.purchase;
+  PREFCOVER_DCHECK(!session.HasDwell() ||
+                   session.dwell_seconds.size() == session.clicks.size());
+  const ItemId p = session.purchase;
   if (p >= purchase_count_.size()) purchase_count_.resize(size_t{p} + 1, 0);
   ++purchase_count_[p];
   ++purchases_seen_;
-  std::vector<std::pair<ItemId, double>> alts =
-      session.AlternativesWithDwell();
-  if (alts.empty()) return;
+  // The session's distinct alternatives in click order, each keeping its
+  // longest dwell; a stamp from this session marks an item already listed.
+  alternatives_.clear();
+  for (size_t c = 0; c < session.clicks.size(); ++c) {
+    const ItemId b = session.clicks[c];
+    if (b == p) continue;
+    const double dwell = session.HasDwell() ? session.dwell_seconds[c] : -1.0;
+    if (b >= stamps_.size()) stamps_.resize(size_t{b} + 1);
+    Stamp& stamp = stamps_[b];
+    if (stamp.session == purchases_seen_) {
+      double& longest = alternatives_[stamp.index].dwell;
+      if (dwell > longest) longest = dwell;
+      continue;
+    }
+    stamp = {purchases_seen_, static_cast<uint32_t>(alternatives_.size())};
+    alternatives_.push_back({b, dwell});
+  }
+  if (alternatives_.empty()) return;
   // Independent: each alternative counts fully. Normalized: a session
   // with t > 1 alternatives counts each as 1/t, so edge weights per node
   // sum to at most 1 across all sessions. The dwell correction (<= 1)
   // scales each click's contribution and therefore preserves the
   // Normalized bound.
   double mass = 1.0;
-  if (options_.variant == Variant::kNormalized && alts.size() > 1) {
-    mass = 1.0 / static_cast<double>(alts.size());
+  if (options_.variant == Variant::kNormalized && alternatives_.size() > 1) {
+    mass = 1.0 / static_cast<double>(alternatives_.size());
   }
-  for (const auto& [b, dwell] : alts) {
+  for (const Alternative& alternative : alternatives_) {
     double corrected = mass;
-    if (options_.dwell_saturation_seconds > 0.0 && dwell >= 0.0) {
-      corrected *=
-          std::min(1.0, dwell / options_.dwell_saturation_seconds);
+    if (options_.dwell_saturation_seconds > 0.0 && alternative.dwell >= 0.0) {
+      corrected *= std::min(
+          1.0, alternative.dwell / options_.dwell_saturation_seconds);
     }
     if (corrected <= 0.0) continue;
-    pair_mass_[(static_cast<uint64_t>(p) << 32) | b] += corrected;
+    AddPairMass((static_cast<uint64_t>(p) << 32) | alternative.item,
+                corrected);
   }
 }
 
@@ -59,7 +120,7 @@ Result<PreferenceGraph> StreamingGraphBuilder::Finish(
   PREFCOVER_CHECK_MSG(purchase_count_.size() <= num_items,
                       "purchase id not in the dictionary");
   GraphBuilder builder;
-  builder.Reserve(num_items, pair_mass_.size());
+  builder.Reserve(num_items, num_pairs_);
   for (ItemId item = 0; item < num_items; ++item) {
     const uint64_t purchases =
         item < purchase_count_.size() ? purchase_count_[item] : 0;
@@ -68,6 +129,7 @@ Result<PreferenceGraph> StreamingGraphBuilder::Finish(
                     dictionary.Name(item));
   }
   for (const auto& [key, mass] : pair_mass_) {
+    if (key == kEmptyPair) continue;
     ItemId from = static_cast<ItemId>(key >> 32);
     ItemId to = static_cast<ItemId>(key & 0xFFFFFFFFu);
     if (options_.min_purchases_for_edges > 0 &&

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "clickstream/graph_construction.h"
@@ -29,6 +28,14 @@ namespace prefcover {
 ///
 /// Also usable directly by live systems that receive sessions one at a
 /// time (e.g. from a message queue) rather than from a file.
+///
+/// Counting allocates nothing per session once its tables have grown: a
+/// session's distinct alternatives are collected in place, each with its
+/// longest dwell, through a per-item stamp into one reused vector, and
+/// pair mass is summed in one flat open-addressing table keyed
+/// (purchase << 32) | alternative. Each pair's mass still adds in session
+/// order and Finish sorts every adjacency list, so the graph does not
+/// depend on the table's layout.
 class StreamingGraphBuilder {
  public:
   explicit StreamingGraphBuilder(
@@ -48,9 +55,34 @@ class StreamingGraphBuilder {
   Result<PreferenceGraph> Finish(const ItemDictionary& dictionary) const;
 
  private:
+  /// A distinct alternative of the session being counted, with the
+  /// longest dwell among its clicks (-1 when the session has no dwell).
+  struct Alternative {
+    ItemId item;
+    double dwell;
+  };
+  /// Per item: the purchase session (by purchases_seen_) that last
+  /// listed it in alternatives_, and at which index.
+  struct Stamp {
+    uint64_t session = 0;
+    uint32_t index = 0;
+  };
+  /// One slot of the pair-mass table; kEmptyPair marks a free slot.
+  struct PairMass {
+    uint64_t key;
+    double mass;
+  };
+
+  /// Adds `mass` to the pair `key`, doubling the table first if the
+  /// pair would fill more than half of it.
+  void AddPairMass(uint64_t key, double mass);
+
   GraphConstructionOptions options_;
   std::vector<uint64_t> purchase_count_;
-  std::unordered_map<uint64_t, double> pair_mass_;
+  std::vector<Stamp> stamps_;
+  std::vector<Alternative> alternatives_;
+  std::vector<PairMass> pair_mass_;  // power-of-two size
+  size_t num_pairs_ = 0;
   uint64_t sessions_seen_ = 0;
   uint64_t purchases_seen_ = 0;
 };

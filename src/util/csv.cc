@@ -199,26 +199,69 @@ bool CsvReader::Refill() {
   input_->read(block_.data(), static_cast<std::streamsize>(block_.size()));
   pos_ = 0;
   end_ = static_cast<size_t>(input_->gcount());
+  // A read that fails (a stream error, or a streambuf that throws) can
+  // return short or nothing, which must not read as end of input.
+  if (input_->bad()) {
+    end_ = 0;
+    status_ = Status::IOError("read failed after record " +
+                              std::to_string(record_number_));
+    return false;
+  }
   return end_ > 0;
 }
 
-bool CsvReader::Next(std::vector<std::string>* fields) {
+bool CsvReader::Next(std::vector<std::string_view>* fields) {
   if (!status_.ok()) return false;
   if (pos_ == end_ && !Refill()) return false;
+  const char* const begin = block_.data() + pos_;
+  const size_t left = end_ - pos_;
+  const char* line_end =
+      static_cast<const char*>(std::memchr(begin, '\n', left));
+  if (line_end == nullptr ||
+      std::memchr(begin, '"', static_cast<size_t>(line_end - begin)) !=
+          nullptr) {
+    return ParseRecord(fields);
+  }
+  pos_ += static_cast<size_t>(line_end - begin) + 1;
+  if (line_end != begin && line_end[-1] == '\r') --line_end;
+  fields->clear();
+  const char* field = begin;
+  for (;;) {
+    const char* delimiter = static_cast<const char*>(std::memchr(
+        field, delimiter_, static_cast<size_t>(line_end - field)));
+    if (delimiter == nullptr) break;
+    fields->emplace_back(field, static_cast<size_t>(delimiter - field));
+    field = delimiter + 1;
+  }
+  fields->emplace_back(field, static_cast<size_t>(line_end - field));
   ++record_number_;
-  RecordParser parser(delimiter_, /*line_ends_record=*/true, fields);
+  return true;
+}
+
+bool CsvReader::ParseRecord(std::vector<std::string_view>* fields) {
+  RecordParser parser(delimiter_, /*line_ends_record=*/true, &owned_);
   do {
     const char* base = block_.data();
     pos_ = static_cast<size_t>(parser.Scan(base + pos_, base + end_) - base);
     if (parser.error() != nullptr || parser.done()) break;
   } while (Refill());
+  if (!status_.ok()) return false;
   if (parser.error() == nullptr && !parser.done()) parser.Finish();
+  ++record_number_;
   if (parser.error() != nullptr) {
     status_ = Status::InvalidArgument("record " +
                                       std::to_string(record_number_) + ": " +
                                       parser.error());
     return false;
   }
+  fields->assign(owned_.begin(), owned_.end());
+  return true;
+}
+
+bool CsvReader::Next(std::vector<std::string>* fields) {
+  if (!Next(&views_)) return false;
+  fields->resize(views_.size());
+  for (size_t f = 0; f < views_.size(); ++f) (*fields)[f].assign(views_[f]);
   return true;
 }
 

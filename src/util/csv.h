@@ -37,18 +37,31 @@ std::string FormatCsvLine(const std::vector<std::string>& fields,
 /// and CRLF files read alike. Inside quotes every byte, '\r' and '\n'
 /// included, belongs to the field, so a record spans physical lines only
 /// while its quote count is odd.
+///
+/// A record without quotes that ends inside the current block is split in
+/// place: its fields are views into the block, and reading it allocates
+/// nothing. Any other record (one with a quote, or one that crosses into
+/// the next block) goes through the RFC-4180 state machine into strings
+/// the reader owns, and its views point there.
 class CsvReader {
  public:
   /// The stream must outlive the reader. The reader reads ahead of the
   /// record it returns, so nothing else should read the stream after it.
   explicit CsvReader(std::istream* input, char delimiter = ',');
 
-  /// Reads the next record into `*fields`, reusing the capacity of the
-  /// strings already there. Returns false at end of input. A malformed
-  /// record surfaces through status() and leaves `*fields` unspecified.
+  /// Reads the next record into `*fields` as views that stay valid until
+  /// the next call to Next (either overload). Returns false at end of
+  /// input. A malformed record or a failed read surfaces through status()
+  /// and leaves `*fields` unspecified.
+  bool Next(std::vector<std::string_view>* fields);
+
+  /// As above, but copies the fields into `*fields`, reusing the capacity
+  /// of the strings already there.
   bool Next(std::vector<std::string>* fields);
 
-  /// OK unless a malformed record has been encountered.
+  /// OK until a malformed record (InvalidArgument naming it) or a failed
+  /// read of the stream (IOError naming the last whole record) stops the
+  /// reader; a stream that goes bad() is never taken for end of input.
   const Status& status() const { return status_; }
 
   /// 1-based index of the last record returned by Next, or of the
@@ -56,8 +69,13 @@ class CsvReader {
   size_t record_number() const { return record_number_; }
 
  private:
-  /// Reads the next block; false at end of input.
+  /// Reads the next block; false at end of input or on a failed read,
+  /// which sets status_.
   bool Refill();
+
+  /// Reads the record at pos_, one with a quote or one that crosses into
+  /// the next block, through the state machine into owned_.
+  bool ParseRecord(std::vector<std::string_view>* fields);
 
   std::istream* input_;
   char delimiter_;
@@ -66,6 +84,8 @@ class CsvReader {
   std::vector<char> block_;
   size_t pos_ = 0;  // next unread byte of block_
   size_t end_ = 0;  // bytes of block_ holding input
+  std::vector<std::string> owned_;       // fields of the last quoted record
+  std::vector<std::string_view> views_;  // scratch of the string overload
 };
 
 /// \brief Streaming CSV writer over an ostream.

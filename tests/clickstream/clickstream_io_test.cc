@@ -1,5 +1,6 @@
 #include "clickstream/clickstream_io.h"
 
+#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -132,6 +133,19 @@ TEST(ClickstreamIoTest, FileRoundTrip) {
   auto read = ReadClickstreamCsvFile(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->NumSessions(), 3u);
+}
+
+// One session fits in the file stream's buffer, so the write fails only
+// at the flush before returning, which must still report it.
+TEST(ClickstreamIoTest, WriteToAFullDeviceIsIOError) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Clickstream cs;
+  Session s;
+  s.clicks = {cs.mutable_dictionary()->Intern("b")};
+  s.purchase = cs.mutable_dictionary()->Intern("a");
+  cs.AddSession(s);
+  const Status st = WriteClickstreamCsvFile(cs, "/dev/full");
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
 }
 
 TEST(ClickstreamIoTest, MissingFileIsIOError) {

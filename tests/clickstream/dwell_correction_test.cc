@@ -16,27 +16,65 @@
 namespace prefcover {
 namespace {
 
-TEST(SessionDwellTest, AlternativesWithDwellKeepsLongest) {
+// A repeated alternative counts once, with the longest of its dwells.
+TEST(DwellConstructionTest, RepeatedAlternativeKeepsItsLongestDwell) {
+  ItemDictionary dictionary;
+  const ItemId p = dictionary.Intern("p");
+  const ItemId a = dictionary.Intern("a");
+  const ItemId b = dictionary.Intern("b");
   Session s;
-  s.clicks = {3, 4, 3};
-  s.dwell_seconds = {2.0, 10.0, 7.0};
-  s.purchase = 9;
-  auto alts = s.AlternativesWithDwell();
-  ASSERT_EQ(alts.size(), 2u);
-  EXPECT_EQ(alts[0].first, 3u);
-  EXPECT_DOUBLE_EQ(alts[0].second, 7.0);  // max of 2.0 and 7.0
-  EXPECT_EQ(alts[1].first, 4u);
-  EXPECT_DOUBLE_EQ(alts[1].second, 10.0);
+  s.clicks = {a, b, a, p};
+  s.dwell_seconds = {2.0, 10.0, 7.0, 30.0};
+  s.purchase = p;
+  for (Variant variant : {Variant::kIndependent, Variant::kNormalized}) {
+    GraphConstructionOptions options;
+    options.variant = variant;
+    options.dwell_saturation_seconds = 20.0;
+    StreamingGraphBuilder builder(options);
+    builder.AddSession(s);
+    auto g = builder.Finish(dictionary);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    // Two distinct alternatives: 1/t = 1/2 under Normalized.
+    const double share = variant == Variant::kNormalized ? 0.5 : 1.0;
+    EXPECT_DOUBLE_EQ(g->EdgeWeight(p, a), share * (7.0 / 20.0));
+    EXPECT_DOUBLE_EQ(g->EdgeWeight(p, b), share * (10.0 / 20.0));
+    EXPECT_EQ(g->OutNeighbors(p).size(), 2u);
+  }
 }
 
-TEST(SessionDwellTest, NoDwellDataYieldsMinusOne) {
+// Without dwell data, or with an unknown (-1) dwell, a click counts in
+// full; a known dwell of 0 drops it, unless a repeat of it dwelt longer.
+TEST(DwellConstructionTest, UnknownDwellCountsAFullClick) {
+  ItemDictionary dictionary;
+  const ItemId p = dictionary.Intern("p");
+  const ItemId a = dictionary.Intern("a");
+  const ItemId b = dictionary.Intern("b");
+  const ItemId c = dictionary.Intern("c");
+  GraphConstructionOptions options;
+  options.dwell_saturation_seconds = 20.0;
+
+  StreamingGraphBuilder plain(options);
+  Session no_dwell;
+  no_dwell.clicks = {a, b};
+  no_dwell.purchase = p;
+  EXPECT_FALSE(no_dwell.HasDwell());
+  plain.AddSession(no_dwell);
+  auto g = plain.Finish(dictionary);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_DOUBLE_EQ(g->EdgeWeight(p, a), 1.0);
+  EXPECT_DOUBLE_EQ(g->EdgeWeight(p, b), 1.0);
+
+  StreamingGraphBuilder mixed(options);
   Session s;
-  s.clicks = {1, 2};
-  s.purchase = 9;
-  auto alts = s.AlternativesWithDwell();
-  ASSERT_EQ(alts.size(), 2u);
-  EXPECT_DOUBLE_EQ(alts[0].second, -1.0);
-  EXPECT_FALSE(s.HasDwell());
+  s.clicks = {a, b, c, b};
+  s.dwell_seconds = {-1.0, 0.0, 0.0, 4.0};
+  s.purchase = p;
+  mixed.AddSession(s);
+  auto h = mixed.Finish(dictionary);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_DOUBLE_EQ(h->EdgeWeight(p, a), 1.0);
+  EXPECT_DOUBLE_EQ(h->EdgeWeight(p, b), 4.0 / 20.0);
+  EXPECT_FALSE(h->HasEdge(p, c));
 }
 
 Clickstream MakeDwellStream() {

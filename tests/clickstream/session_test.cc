@@ -1,5 +1,8 @@
 #include "clickstream/session.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "clickstream/clickstream.h"
@@ -49,6 +52,59 @@ TEST(ItemDictionaryTest, LookupUnknownReturnsInvalid) {
   dict.Intern("known");
   EXPECT_EQ(dict.Lookup("known"), 0u);
   EXPECT_EQ(dict.Lookup("unknown"), kInvalidItem);
+}
+
+TEST(ItemDictionaryTest, IdsStayFirstSeenAcrossTableGrowth) {
+  // 200K names double the table from 1,024 slots nine times; every id
+  // stays the order of first sight, and repeats intern to it.
+  constexpr ItemId kNames = 200'000;
+  auto name = [](ItemId i) { return "sku-" + std::to_string(i * 7919u); };
+  ItemDictionary dict;
+  for (ItemId i = 0; i < kNames; ++i) {
+    ASSERT_EQ(dict.Intern(name(i)), i);
+    if (i % 3 == 0) {
+      ASSERT_EQ(dict.Intern(name(i / 2)), i / 2);
+    }
+  }
+  ASSERT_EQ(dict.size(), size_t{kNames});
+  for (ItemId i = 0; i < kNames; ++i) {
+    ASSERT_EQ(dict.Lookup(name(i)), i);
+    ASSERT_EQ(dict.Name(i), name(i));
+  }
+  EXPECT_EQ(dict.Intern(name(kNames - 1)), kNames - 1);
+  EXPECT_EQ(dict.size(), size_t{kNames});
+}
+
+TEST(ItemDictionaryTest, LookupOfUnknownNamesAndOnAnEmptyDictionary) {
+  ItemDictionary empty;
+  EXPECT_EQ(empty.Lookup("anything"), kInvalidItem);
+  EXPECT_EQ(empty.Lookup(""), kInvalidItem);
+  EXPECT_EQ(empty.size(), 0u);
+
+  ItemDictionary dict;
+  for (int i = 0; i < 5000; ++i) dict.Intern("item" + std::to_string(i));
+  EXPECT_EQ(dict.Lookup("item5000"), kInvalidItem);
+  EXPECT_EQ(dict.Lookup("item"), kInvalidItem);
+  EXPECT_EQ(dict.Lookup(""), kInvalidItem);
+  EXPECT_EQ(dict.Lookup("item4999"), 4999u);
+  EXPECT_EQ(dict.size(), 5000u);  // Lookup interns nothing
+}
+
+TEST(ItemDictionaryTest, NamesWithDelimitersQuotesAndNulBytes) {
+  using namespace std::string_literals;
+  const std::vector<std::string> names = {
+      "a,b", "\"quoted\"", "a\0b"s, "a\0c"s, "a", "\0"s, "", "line\nbreak",
+      "a\0"s};
+  ItemDictionary dict;
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(dict.Intern(names[i]), i) << i;
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(dict.Lookup(names[i]), i) << i;
+    EXPECT_EQ(dict.Name(static_cast<ItemId>(i)), names[i]) << i;
+  }
+  EXPECT_EQ(dict.Lookup("a\0d"s), kInvalidItem);
+  EXPECT_EQ(dict.size(), names.size());
 }
 
 TEST(ClickstreamTest, StatsOnMixedSessions) {

@@ -1,6 +1,7 @@
 #include "clickstream/streaming_construction.h"
 
 #include <array>
+#include <map>
 #include <fstream>
 #include <sstream>
 
@@ -127,6 +128,101 @@ TEST(StreamingParityTest, SameDigestOnEveryProfileVariantAndDwell) {
         ASSERT_TRUE(in_memory.ok() && streaming.ok()) << label;
         EXPECT_GT(in_memory->NumEdges(), 0u) << label;
         EXPECT_EQ(GraphDigest(*in_memory), GraphDigest(*streaming)) << label;
+      }
+    }
+  }
+}
+
+// A copy of `source` whose sessions repeat a seeded share of their clicks
+// and carry seeded dwell values (a tenth of them unknown), so counting
+// must dedup alternatives and keep the longest dwell of each.
+Clickstream WithDwellAndRepeats(const Clickstream& source, uint64_t seed) {
+  Clickstream copy;
+  *copy.mutable_dictionary() = source.dictionary();
+  Rng rng(seed);
+  for (Session session : source.sessions()) {
+    const size_t clicks = session.clicks.size();
+    for (size_t c = 0; c < clicks; ++c) {
+      if (rng.NextBernoulli(0.3)) {
+        session.clicks.push_back(session.clicks[rng.NextBounded(clicks)]);
+      }
+    }
+    for (size_t c = 0; c < session.clicks.size(); ++c) {
+      session.dwell_seconds.push_back(
+          rng.NextBernoulli(0.1) ? -1.0 : rng.NextDouble(0.0, 40.0));
+    }
+    copy.AddSession(std::move(session));
+  }
+  return copy;
+}
+
+// Both builds' digests, pinned to the values the counting gave before
+// decoding moved to views and counting to flat tables, on every profile
+// at scale 0.002, under both variants, and on a dwell-and-repeats copy at
+// dwell saturation 0 s and 20 s.
+TEST(StreamingParityTest, DigestsMatchThePinnedValues) {
+  const std::map<std::string, uint64_t> pinned = {
+      {"PE independent", 0x3eb2d0baa7cd53efULL},
+      {"PE independent dwell@0", 0x3eb2d0baa7cd53efULL},
+      {"PE independent dwell@20", 0x648db3509ffd1c8cULL},
+      {"PE normalized", 0x984ebe75bbcf842eULL},
+      {"PE normalized dwell@0", 0x984ebe75bbcf842eULL},
+      {"PE normalized dwell@20", 0xcde487b1031dcdd8ULL},
+      {"PF independent", 0x29d5ad3d921764bcULL},
+      {"PF independent dwell@0", 0x29d5ad3d921764bcULL},
+      {"PF independent dwell@20", 0xe153fe430541508aULL},
+      {"PF normalized", 0x49a9dea9d98e39ebULL},
+      {"PF normalized dwell@0", 0x49a9dea9d98e39ebULL},
+      {"PF normalized dwell@20", 0xc39b3c24d087bf17ULL},
+      {"PM independent", 0x338117dfdeb3f529ULL},
+      {"PM independent dwell@0", 0x338117dfdeb3f529ULL},
+      {"PM independent dwell@20", 0x6657762cd3cdecb3ULL},
+      {"PM normalized", 0x338117dfdeb3f529ULL},
+      {"PM normalized dwell@0", 0x338117dfdeb3f529ULL},
+      {"PM normalized dwell@20", 0x6657762cd3cdecb3ULL},
+      {"YC independent", 0x1a38fbf4feb8de6dULL},
+      {"YC independent dwell@0", 0x1a38fbf4feb8de6dULL},
+      {"YC independent dwell@20", 0x630d82079d27f9bbULL},
+      {"YC normalized", 0x30d6cfa4ba0f383eULL},
+      {"YC normalized dwell@0", 0x30d6cfa4ba0f383eULL},
+      {"YC normalized dwell@20", 0xd5ef5d77fe0f96ecULL},
+  };
+  for (DatasetProfile profile :
+       {DatasetProfile::kPE, DatasetProfile::kPF, DatasetProfile::kPM,
+        DatasetProfile::kYC}) {
+    auto cs = GenerateProfileClickstream(profile, 0.002, 11);
+    ASSERT_TRUE(cs.ok());
+    std::ostringstream plain_out, dwell_out;
+    ASSERT_TRUE(WriteClickstreamCsv(*cs, &plain_out).ok());
+    ASSERT_TRUE(
+        WriteClickstreamCsv(WithDwellAndRepeats(*cs, 23), &dwell_out).ok());
+    const std::string plain_csv = plain_out.str();
+    const std::string dwell_csv = dwell_out.str();
+    for (Variant variant : {Variant::kIndependent, Variant::kNormalized}) {
+      // A negative saturation stands for the plain CSV.
+      for (double saturation : {-1.0, 0.0, 20.0}) {
+        const bool dwell = saturation >= 0.0;
+        std::string label = std::string(GetProfileSpec(profile).name) + " " +
+                            std::string(VariantName(variant));
+        if (dwell) {
+          label += " dwell@" + std::to_string(static_cast<int>(saturation));
+        }
+        GraphConstructionOptions options;
+        options.variant = variant;
+        if (dwell) options.dwell_saturation_seconds = saturation;
+        const std::string& csv = dwell ? dwell_csv : plain_csv;
+        std::istringstream batch_src(csv);
+        auto reloaded = ReadClickstreamCsv(&batch_src);
+        ASSERT_TRUE(reloaded.ok()) << label;
+        auto in_memory = BuildPreferenceGraph(*reloaded, options);
+        std::istringstream streaming_src(csv);
+        auto streaming = BuildPreferenceGraphStreaming(&streaming_src, options);
+        ASSERT_TRUE(in_memory.ok() && streaming.ok()) << label;
+        const uint64_t digest = GraphDigest(*in_memory);
+        auto it = pinned.find(label);
+        ASSERT_NE(it, pinned.end()) << label;
+        EXPECT_EQ(digest, it->second) << label;
+        EXPECT_EQ(GraphDigest(*streaming), it->second) << label;
       }
     }
   }

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -120,6 +121,55 @@ TEST(CliTest, MissingInputFileFails) {
 
 TEST(CliTest, BadFlagFails) {
   EXPECT_NE(RunCli(CliPath() + " generate --bogus-flag=1"), 0);
+}
+
+// Outputs small enough to sit whole in the stream's buffer fail only at
+// the final flush, which the command must still report: a write to
+// /dev/full (where it exists) exits 1 instead of printing "wrote".
+class CliFullDeviceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  }
+
+  // A 13-node graph from a 6 KB clickstream.
+  std::string TinyGraph() {
+    const std::string clicks = TempPath("clicks.csv");
+    const std::string graph = TempPath("graph.pcg");
+    EXPECT_EQ(RunCli(CliPath() + " generate --profile=PM --scale=0.00001 "
+                     "--out=" + clicks),
+              0);
+    EXPECT_EQ(RunCli(CliPath() + " construct --input=" + clicks +
+                     " --out=" + graph),
+              0);
+    return graph;
+  }
+};
+
+TEST_F(CliFullDeviceTest, GenerateFails) {
+  EXPECT_EQ(RunCli(CliPath() +
+                   " generate --profile=PM --scale=0.00001 --out=/dev/full"),
+            1);
+}
+
+TEST_F(CliFullDeviceTest, ExportFails) {
+  const std::string graph = TinyGraph();
+  EXPECT_EQ(RunCli(CliPath() + " export --graph=" + graph +
+                   " --nodes=/dev/full --edges=/dev/full"),
+            1);
+  EXPECT_EQ(RunCli(CliPath() + " export --graph=" + graph + " --nodes=" +
+                   TempPath("nodes.csv") + " --edges=/dev/full"),
+            1);
+}
+
+TEST_F(CliFullDeviceTest, SolveCoverageOutFails) {
+  const std::string graph = TinyGraph();
+  EXPECT_EQ(RunCli(CliPath() + " solve --graph=" + graph +
+                   " --k=3 --coverage-out=/dev/full"),
+            1);
+  EXPECT_EQ(RunCli(CliPath() + " solve --graph=" + graph +
+                   " --k=3 --coverage-out=" + TempPath("coverage.csv")),
+            0);
 }
 
 TEST_F(CliPipelineTest, StreamingConstructMatchesInMemory) {

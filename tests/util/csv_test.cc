@@ -13,14 +13,49 @@ namespace {
 
 using Records = std::vector<std::vector<std::string>>;
 
-// Reads every record of `text`; fails the test on a reader error.
-Records ReadAll(const std::string& text) {
+// CsvReader through one of its two Next overloads, handing back string
+// copies either way, so one test body checks both.
+class Reader {
+ public:
+  Reader(std::istream* in, bool views) : reader_(in), views_(views) {}
+
+  bool Next(std::vector<std::string>* fields) {
+    if (!views_) return reader_.Next(fields);
+    if (!reader_.Next(&view_fields_)) return false;
+    fields->assign(view_fields_.begin(), view_fields_.end());
+    return true;
+  }
+  const Status& status() const { return reader_.status(); }
+  size_t record_number() const { return reader_.record_number(); }
+
+ private:
+  CsvReader reader_;
+  bool views_;
+  std::vector<std::string_view> view_fields_;
+};
+
+// Both overloads, for the tests' loops.
+constexpr bool kOverloads[] = {false, true};
+
+const char* OverloadName(bool views) { return views ? "views" : "strings"; }
+
+// Reads every record of `text` through one overload; fails the test on a
+// reader error.
+Records ReadAll(const std::string& text, bool views) {
   std::istringstream in(text);
-  CsvReader reader(&in);
+  Reader reader(&in, views);
   Records records;
   std::vector<std::string> fields;
   while (reader.Next(&fields)) records.push_back(fields);
-  EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+  EXPECT_TRUE(reader.status().ok())
+      << OverloadName(views) << ": " << reader.status().ToString();
+  return records;
+}
+
+// Reads every record of `text` through both overloads, which must agree.
+Records ReadAll(const std::string& text) {
+  Records records = ReadAll(text, /*views=*/true);
+  EXPECT_EQ(ReadAll(text, /*views=*/false), records);
   return records;
 }
 
@@ -28,7 +63,9 @@ Records ReadAll(const std::string& text) {
 constexpr size_t kBlock = 64 * 1024;
 
 // A filler record of `length` bytes including its '\n'.
-std::string Filler(size_t length) { return std::string(length - 1, 'f') + "\n"; }
+std::string Filler(size_t length) {
+  return std::string(length - 1, 'f') + "\n";
+}
 
 TEST(ParseCsvLineTest, SimpleFields) {
   auto r = ParseCsvLine("a,b,c");
@@ -115,55 +152,53 @@ TEST(CsvRoundTripTest, ParseOfFormatIsIdentity) {
 }
 
 TEST(CsvReaderTest, ReadsMultipleRecords) {
-  std::istringstream in("h1,h2\n1,2\n3,4\n");
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_EQ(fields, (std::vector<std::string>{"h1", "h2"}));
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_EQ(fields, (std::vector<std::string>{"1", "2"}));
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_EQ(fields, (std::vector<std::string>{"3", "4"}));
-  EXPECT_FALSE(reader.Next(&fields));
-  EXPECT_TRUE(reader.status().ok());
+  for (bool views : kOverloads) {
+    SCOPED_TRACE(OverloadName(views));
+    std::istringstream in("h1,h2\n1,2\n3,4\n");
+    Reader reader(&in, views);
+    std::vector<std::string> fields;
+    ASSERT_TRUE(reader.Next(&fields));
+    EXPECT_EQ(fields, (std::vector<std::string>{"h1", "h2"}));
+    ASSERT_TRUE(reader.Next(&fields));
+    EXPECT_EQ(fields, (std::vector<std::string>{"1", "2"}));
+    ASSERT_TRUE(reader.Next(&fields));
+    EXPECT_EQ(fields, (std::vector<std::string>{"3", "4"}));
+    EXPECT_FALSE(reader.Next(&fields));
+    EXPECT_TRUE(reader.status().ok());
+  }
 }
 
 TEST(CsvReaderTest, HandlesCrlf) {
-  std::istringstream in("a,b\r\nc,d\r\n");
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_EQ(fields, (std::vector<std::string>{"a", "b"}));
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_EQ(fields, (std::vector<std::string>{"c", "d"}));
+  EXPECT_EQ(ReadAll("a,b\r\nc,d\r\n"), (Records{{"a", "b"}, {"c", "d"}}));
 }
 
 TEST(CsvReaderTest, QuotedFieldSpanningLines) {
-  std::istringstream in("\"multi\nline\",x\nnext,y\n");
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_EQ(fields, (std::vector<std::string>{"multi\nline", "x"}));
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_EQ(fields, (std::vector<std::string>{"next", "y"}));
+  EXPECT_EQ(ReadAll("\"multi\nline\",x\nnext,y\n"),
+            (Records{{"multi\nline", "x"}, {"next", "y"}}));
 }
 
 TEST(CsvReaderTest, MalformedRecordSetsStatus) {
-  std::istringstream in("good,row\nbad\"row,x\n");
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_FALSE(reader.Next(&fields));
-  EXPECT_FALSE(reader.status().ok());
-  EXPECT_TRUE(reader.status().IsInvalidArgument());
+  for (bool views : kOverloads) {
+    SCOPED_TRACE(OverloadName(views));
+    std::istringstream in("good,row\nbad\"row,x\n");
+    Reader reader(&in, views);
+    std::vector<std::string> fields;
+    ASSERT_TRUE(reader.Next(&fields));
+    EXPECT_FALSE(reader.Next(&fields));
+    EXPECT_FALSE(reader.status().ok());
+    EXPECT_TRUE(reader.status().IsInvalidArgument());
+  }
 }
 
 TEST(CsvReaderTest, EmptyInput) {
-  std::istringstream in("");
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  EXPECT_FALSE(reader.Next(&fields));
-  EXPECT_TRUE(reader.status().ok());
+  for (bool views : kOverloads) {
+    SCOPED_TRACE(OverloadName(views));
+    std::istringstream in("");
+    Reader reader(&in, views);
+    std::vector<std::string> fields;
+    EXPECT_FALSE(reader.Next(&fields));
+    EXPECT_TRUE(reader.status().ok());
+  }
 }
 
 TEST(ParseCsvLineTest, UnquotedLineBreaksAreFieldBytes) {
@@ -181,17 +216,20 @@ TEST(CsvReaderTest, LastRecordWithoutNewline) {
 }
 
 TEST(CsvReaderTest, BlankLineIsOneEmptyField) {
-  std::istringstream in("a,b\n\nc,d\n");
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  ASSERT_TRUE(reader.Next(&fields));
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_EQ(fields, std::vector<std::string>{""});
-  EXPECT_EQ(reader.record_number(), 2u);
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_EQ(fields, (std::vector<std::string>{"c", "d"}));
-  EXPECT_EQ(reader.record_number(), 3u);
-  EXPECT_FALSE(reader.Next(&fields));
+  for (bool views : kOverloads) {
+    SCOPED_TRACE(OverloadName(views));
+    std::istringstream in("a,b\n\nc,d\n");
+    Reader reader(&in, views);
+    std::vector<std::string> fields;
+    ASSERT_TRUE(reader.Next(&fields));
+    ASSERT_TRUE(reader.Next(&fields));
+    EXPECT_EQ(fields, std::vector<std::string>{""});
+    EXPECT_EQ(reader.record_number(), 2u);
+    ASSERT_TRUE(reader.Next(&fields));
+    EXPECT_EQ(fields, (std::vector<std::string>{"c", "d"}));
+    EXPECT_EQ(reader.record_number(), 3u);
+    EXPECT_FALSE(reader.Next(&fields));
+  }
 }
 
 TEST(CsvReaderTest, CrlfInsideQuotesIsKept) {
@@ -202,31 +240,34 @@ TEST(CsvReaderTest, CrlfInsideQuotesIsKept) {
 }
 
 TEST(CsvReaderTest, MalformedRecordNamesItsNumber) {
-  std::istringstream in(Filler(kBlock - 3) + "ok\nbad\"row,x\nnever\n");
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  ASSERT_TRUE(reader.Next(&fields));
-  ASSERT_TRUE(reader.Next(&fields));
-  EXPECT_FALSE(reader.Next(&fields));
-  EXPECT_EQ(reader.record_number(), 3u);
-  EXPECT_EQ(reader.status().message(),
-            "record 3: unexpected quote inside unquoted field");
-  EXPECT_FALSE(reader.Next(&fields));  // the reader stays stopped
+  for (bool views : kOverloads) {
+    SCOPED_TRACE(OverloadName(views));
+    std::istringstream in(Filler(kBlock - 3) + "ok\nbad\"row,x\nnever\n");
+    Reader reader(&in, views);
+    std::vector<std::string> fields;
+    ASSERT_TRUE(reader.Next(&fields));
+    ASSERT_TRUE(reader.Next(&fields));
+    EXPECT_FALSE(reader.Next(&fields));
+    EXPECT_EQ(reader.record_number(), 3u);
+    EXPECT_EQ(reader.status().message(),
+              "record 3: unexpected quote inside unquoted field");
+    EXPECT_FALSE(reader.Next(&fields));  // the reader stays stopped
 
-  std::istringstream closed("a\n\"abc\"x,y\n");
-  CsvReader after_quote(&closed);
-  ASSERT_TRUE(after_quote.Next(&fields));
-  EXPECT_FALSE(after_quote.Next(&fields));
-  EXPECT_EQ(after_quote.status().message(),
-            "record 2: characters after closing quote");
+    std::istringstream closed("a\n\"abc\"x,y\n");
+    Reader after_quote(&closed, views);
+    ASSERT_TRUE(after_quote.Next(&fields));
+    EXPECT_FALSE(after_quote.Next(&fields));
+    EXPECT_EQ(after_quote.status().message(),
+              "record 2: characters after closing quote");
 
-  std::istringstream open(Filler(kBlock - 1) + "\"never closed\n" +
-                          Filler(kBlock));
-  CsvReader unterminated(&open);
-  ASSERT_TRUE(unterminated.Next(&fields));
-  EXPECT_FALSE(unterminated.Next(&fields));
-  EXPECT_EQ(unterminated.status().message(),
-            "record 2: unterminated quoted field");
+    std::istringstream open(Filler(kBlock - 1) + "\"never closed\n" +
+                            Filler(kBlock));
+    Reader unterminated(&open, views);
+    ASSERT_TRUE(unterminated.Next(&fields));
+    EXPECT_FALSE(unterminated.Next(&fields));
+    EXPECT_EQ(unterminated.status().message(),
+              "record 2: unterminated quoted field");
+  }
 }
 
 TEST(CsvReaderTest, RecordsStraddlingABlockBoundary) {
@@ -261,6 +302,152 @@ TEST(CsvReaderTest, ReusesTheCallersFields) {
   EXPECT_EQ(fields, std::vector<std::string>{"e"});
   ASSERT_TRUE(reader.Next(&fields));
   EXPECT_EQ(fields, (std::vector<std::string>{"f", "g"}));
+
+  std::istringstream again("a,b,c,d\ne\n\"f\",g\n");
+  CsvReader view_reader(&again);
+  std::vector<std::string_view> views = {"stale", "", "", "", "", "", "x"};
+  ASSERT_TRUE(view_reader.Next(&views));
+  EXPECT_EQ(views, (std::vector<std::string_view>{"a", "b", "c", "d"}));
+  ASSERT_TRUE(view_reader.Next(&views));
+  EXPECT_EQ(views, std::vector<std::string_view>{"e"});
+  ASSERT_TRUE(view_reader.Next(&views));  // a quoted record
+  EXPECT_EQ(views, (std::vector<std::string_view>{"f", "g"}));
+}
+
+TEST(CsvReaderTest, RecordLongerThanABlock) {
+  std::string long_field(kBlock + 100, 'x');
+  std::vector<std::string> many_fields(3 * kBlock / 8, "1234567");
+  std::string many;
+  for (const std::string& field : many_fields) many += field + ",";
+  many_fields.emplace_back();
+  for (bool crlf : {false, true}) {
+    const std::string eol = crlf ? "\r\n" : "\n";
+    EXPECT_EQ(ReadAll("a,b" + eol + "c," + long_field + eol + many + eol +
+                      "\"q," + long_field + "\"" + eol + "d" + eol),
+              (Records{{"a", "b"},
+                       {"c", long_field},
+                       many_fields,
+                       {"q," + long_field},
+                       {"d"}}));
+  }
+}
+
+TEST(CsvReaderTest, QuotedNewlineStraddlingABlockBoundary) {
+  // Unquoted records around a quoted one whose embedded newline falls on
+  // every offset from 6 bytes before the block boundary to 6 after.
+  const std::string quoted = "\"two\nlines\",x\n";
+  for (size_t start = kBlock - 10; start <= kBlock + 2; ++start) {
+    EXPECT_EQ(ReadAll("head,1\n" + Filler(start - 7) + quoted + "tail,2\n"),
+              (Records{{"head", "1"},
+                       {std::string(start - 8, 'f')},
+                       {"two\nlines", "x"},
+                       {"tail", "2"}}))
+        << "at " << start;
+  }
+}
+
+// A test-local RFC-4180 reading of a whole text, written for clarity, not
+// speed: the records before the first malformed one, and that one's
+// 1-based number and message (0 and "" when there is none).
+struct ReferenceReading {
+  Records records;
+  size_t bad_record = 0;
+  std::string message;
+};
+
+ReferenceReading ReferenceRead(const std::string& text) {
+  enum class State { kStart, kUnquoted, kQuoted, kClosed };
+  ReferenceReading out;
+  size_t i = 0;
+  const size_t n = text.size();
+  while (i < n) {
+    std::vector<std::string> fields(1);
+    State state = State::kStart;
+    const char* error = nullptr;
+    while (error == nullptr) {
+      if (i == n) {
+        if (state == State::kQuoted) error = "unterminated quoted field";
+        break;
+      }
+      const char c = text[i++];
+      if (state == State::kQuoted) {
+        if (c == '"') {
+          state = State::kClosed;
+        } else {
+          fields.back() += c;
+        }
+      } else if (c == '"') {
+        if (state == State::kUnquoted) {
+          error = "unexpected quote inside unquoted field";
+        } else {
+          if (state == State::kClosed) fields.back() += '"';
+          state = State::kQuoted;
+        }
+      } else if (c == ',') {
+        fields.emplace_back();
+        state = State::kStart;
+      } else if (c == '\n') {
+        break;
+      } else if (c == '\r' && (i == n || text[i] == '\n')) {
+        if (i < n) ++i;
+        break;
+      } else if (state == State::kClosed) {
+        error = "characters after closing quote";
+      } else {
+        fields.back() += c;
+        state = State::kUnquoted;
+      }
+    }
+    if (error != nullptr) {
+      out.bad_record = out.records.size() + 1;
+      out.message = "record " + std::to_string(out.bad_record) + ": " + error;
+      break;
+    }
+    out.records.push_back(std::move(fields));
+  }
+  return out;
+}
+
+TEST(CsvReaderTest, RandomBytesReadAlikeThroughBothOverloads) {
+  // Random texts over the bytes that steer the parser, several blocks
+  // long and mostly malformed somewhere: both overloads must return the
+  // same records, status and record numbers as the reference reading.
+  const std::string alphabet = ",\"\r\n\nab ";
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    // Rare quotes in most texts, so some run for blocks before failing.
+    const double quote_share = seed % 4 == 0 ? 0.2 : 0.0005;
+    std::string text;
+    const size_t length = kBlock / 2 + rng.NextBounded(3 * kBlock);
+    while (text.size() < length) {
+      char c = alphabet[rng.NextBounded(alphabet.size())];
+      if (c == '"' && !rng.NextBernoulli(quote_share)) c = 'q';
+      text += c;
+    }
+    const ReferenceReading expected = ReferenceRead(text);
+    for (bool views : kOverloads) {
+      SCOPED_TRACE(std::string(OverloadName(views)) + " seed " +
+                   std::to_string(seed));
+      std::istringstream in(text);
+      Reader reader(&in, views);
+      std::vector<std::string> fields;
+      size_t count = 0;
+      while (reader.Next(&fields)) {
+        ASSERT_LT(count, expected.records.size());
+        ASSERT_EQ(fields, expected.records[count]) << "record " << count + 1;
+        ++count;
+        ASSERT_EQ(reader.record_number(), count);
+      }
+      EXPECT_EQ(count, expected.records.size());
+      if (expected.bad_record == 0) {
+        EXPECT_TRUE(reader.status().ok()) << reader.status().ToString();
+      } else {
+        EXPECT_TRUE(reader.status().IsInvalidArgument());
+        EXPECT_EQ(reader.status().message(), expected.message);
+        EXPECT_EQ(reader.record_number(), expected.bad_record);
+      }
+    }
+  }
 }
 
 TEST(CsvWriterReaderTest, RandomFieldsRoundTripThroughTheReader) {
@@ -305,14 +492,7 @@ TEST(CsvWriterReaderTest, RoundTripThroughStreams) {
       {"id", "name"}, {"1", "quoted \"x\""}, {"2", "a,b"}};
   for (const auto& r : records) writer.WriteRecord(r);
 
-  std::istringstream in(out.str());
-  CsvReader reader(&in);
-  std::vector<std::string> fields;
-  for (const auto& expected : records) {
-    ASSERT_TRUE(reader.Next(&fields));
-    EXPECT_EQ(fields, expected);
-  }
-  EXPECT_FALSE(reader.Next(&fields));
+  EXPECT_EQ(ReadAll(out.str()), records);
 }
 
 }  // namespace

@@ -833,6 +833,10 @@ int CmdSolve(int argc, char** argv) {
     if (!cov) return Fail(Status::IOError("cannot open coverage-out"));
     Status st = WriteCoverageCsv(*graph, *solution, &cov);
     if (!st.ok()) return Fail(st);
+    // Output that fits in the stream's buffer reaches the file only here.
+    if (!cov.flush()) {
+      return Fail(Status::IOError("failed writing coverage-out"));
+    }
     std::printf("wrote %s\n", flags.GetString("coverage-out").c_str());
   }
   if (!flags.GetString("index_out").empty()) {
@@ -907,6 +911,10 @@ int CmdExport(int argc, char** argv) {
   }
   Status st = WriteGraphCsv(*graph, &nodes, &edges);
   if (!st.ok()) return Fail(st);
+  // Output that fits in the stream's buffer reaches the file only here.
+  if (!nodes.flush() || !edges.flush()) {
+    return Fail(Status::IOError("failed writing CSV graph"));
+  }
   std::printf("wrote %s and %s\n", flags.GetString("nodes").c_str(),
               flags.GetString("edges").c_str());
   return 0;
