@@ -84,7 +84,7 @@ class CsvReader {
   std::vector<char> block_;
   size_t pos_ = 0;  // next unread byte of block_
   size_t end_ = 0;  // bytes of block_ holding input
-  std::vector<std::string> owned_;       // fields of the last quoted record
+  std::vector<std::string> owned_;  // fields of the last ParseRecord record
   std::vector<std::string_view> views_;  // scratch of the string overload
 };
 
