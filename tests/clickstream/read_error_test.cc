@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,7 +47,7 @@ class FailingStreambuf : public std::streambuf {
   bool fails_;
 };
 
-// `header`, then records(0), records(1), ... up to exactly the first
+// `header`, then record(0), record(1), ... up to exactly the first
 // block's end, where `last(i, bytes)` makes a record of `bytes` bytes,
 // then one more block's worth of records. Returns the text and, in
 // `*in_first_block`, how many records (the header included) fill the
