@@ -2,11 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <memory_resource>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "util/csv.h"
@@ -14,25 +11,12 @@
 
 namespace prefcover {
 
-namespace {
-
-// Hashes session ids as string_views, so the set is probed without
-// building a key string.
-struct SidHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view sid) const {
-    return std::hash<std::string_view>()(sid);
-  }
-};
-
-}  // namespace
-
 Status WriteClickstreamCsv(const Clickstream& clickstream,
                            std::ostream* out) {
   // Emit the optional dwell column only when some session carries dwell
   // data, so dwell-free streams stay byte-compatible with older readers.
   bool any_dwell = false;
-  for (const Session& session : clickstream.sessions()) {
+  for (const SessionView session : clickstream.sessions()) {
     if (session.HasDwell()) {
       any_dwell = true;
       break;
@@ -48,7 +32,7 @@ Status WriteClickstreamCsv(const Clickstream& clickstream,
   const ItemDictionary& dict = clickstream.dictionary();
   size_t session_id = 0;
   char dwell_buf[32];
-  for (const Session& session : clickstream.sessions()) {
+  for (const SessionView session : clickstream.sessions()) {
     std::string sid = std::to_string(session_id++);
     for (size_t i = 0; i < session.clicks.size(); ++i) {
       if (any_dwell) {
@@ -103,10 +87,8 @@ Status DecodeClickstreamCsv(std::istream* in, ItemDictionary* dictionary,
     }
     if (!have_session || fields[0] != sid) {
       if (have_session) {
-        PREFCOVER_RETURN_NOT_OK(sink(sid, &session));
-        session.clicks.clear();
-        session.dwell_seconds.clear();
-        session.purchase = kInvalidItem;
+        PREFCOVER_RETURN_NOT_OK(sink(sid, session));
+        session.Clear();
       }
       sid.assign(fields[0]);
       have_session = true;
@@ -141,28 +123,26 @@ Status DecodeClickstreamCsv(std::istream* in, ItemDictionary* dictionary,
     }
   }
   PREFCOVER_RETURN_NOT_OK(reader.status());
-  return have_session ? sink(sid, &session) : Status::OK();
+  return have_session ? sink(sid, session) : Status::OK();
 }
 
 Result<Clickstream> ReadClickstreamCsv(std::istream* in) {
   Clickstream clickstream;
-  // Ids of the sessions already read, to reject one that reappears. The
-  // set's nodes come from one arena, so it costs no allocation per
-  // session and leaves no trail of small freed chunks behind.
-  std::pmr::monotonic_buffer_resource sid_arena;
-  std::pmr::unordered_set<std::pmr::string, SidHash, std::equal_to<>>
-      finished_sids(&sid_arena);
+  // Ids of the sessions already read, to reject one that reappears: a
+  // session is new exactly when interning its id grows the dictionary.
+  ItemDictionary finished_sids;
   PREFCOVER_RETURN_NOT_OK(DecodeClickstreamCsv(
       in, clickstream.mutable_dictionary(),
       [&clickstream, &finished_sids](std::string_view sid,
-                                     Session* session) {
-        if (!finished_sids.emplace(sid).second) {
+                                     const Session& session) {
+        const size_t finished = finished_sids.size();
+        if (finished_sids.Intern(sid) < finished) {
           return Status::InvalidArgument(
               "session '" + std::string(sid) +
               "' reappears after other sessions; input must be grouped by "
               "session");
         }
-        clickstream.AddSession(std::move(*session));
+        clickstream.AddSession(session);
         return Status::OK();
       }));
   return clickstream;

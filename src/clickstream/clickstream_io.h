@@ -32,11 +32,11 @@
 namespace prefcover {
 
 /// \brief Receives each session DecodeClickstreamCsv finishes, with the id
-/// the CSV gives it. The sink may move from `*session`; the decoder clears
-/// it before reading the next session into it. A non-OK status stops the
-/// decode and is returned from it.
+/// the CSV gives it. The decoder reads every session into one Session,
+/// which it clears (keeping its capacity) once the sink returns. A non-OK
+/// status stops the decode and is returned from it.
 using ClickstreamSessionSink =
-    std::function<Status(std::string_view session_id, Session* session)>;
+    std::function<Status(std::string_view session_id, const Session& session)>;
 
 /// \brief Decodes an event CSV, interning item names into `*dictionary`
 /// in appearance order and handing each finished session to `sink`.

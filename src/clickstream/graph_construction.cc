@@ -7,7 +7,7 @@ namespace prefcover {
 Result<PreferenceGraph> BuildPreferenceGraph(
     const Clickstream& clickstream, const GraphConstructionOptions& options) {
   StreamingGraphBuilder builder(options);
-  for (const Session& session : clickstream.sessions()) {
+  for (const SessionView session : clickstream.sessions()) {
     builder.AddSession(session);
   }
   return builder.Finish(clickstream.dictionary());

@@ -7,7 +7,7 @@
 
 namespace prefcover {
 
-std::vector<ItemId> Session::Alternatives() const {
+std::vector<ItemId> SessionView::Alternatives() const {
   std::vector<ItemId> alts;
   alts.reserve(clicks.size());
   for (ItemId item : clicks) {

@@ -11,6 +11,7 @@
 #define PREFCOVER_CLICKSTREAM_SESSION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,18 +26,21 @@ using ItemId = uint32_t;
 /// Sentinel for "no item" (e.g. a session without a purchase).
 inline constexpr ItemId kInvalidItem = 0xFFFFFFFFu;
 
-/// \brief One consumer visit: clicked items plus at most one purchase.
-struct Session {
-  /// Distinct clicked items, in click order. May include the purchased
-  /// item (a click preceding its own purchase); graph construction excludes
-  /// it from the alternative set.
-  std::vector<ItemId> clicks;
+/// \brief A read-only view of one session: what a Clickstream hands out
+/// for each session it stores, and what a Session converts to. The spans
+/// point into their owner and stay valid until it is next modified.
+struct SessionView {
+  /// Clicked items in click order. May repeat an item, and may include
+  /// the purchased item (a click preceding its own purchase); graph
+  /// construction excludes it from the alternative set.
+  std::span<const ItemId> clicks;
 
-  /// Optional dwell time per click, parallel to `clicks` (seconds spent
-  /// viewing the item). Either empty (unknown) or the same length as
-  /// `clicks`. Dwell is the corrective signal the paper's Section 5.2
-  /// suggests for separating purchase intent from idle browsing.
-  std::vector<double> dwell_seconds;
+  /// Dwell time per click, parallel to `clicks` (seconds spent viewing
+  /// the item; negative when unknown). Either empty (no dwell data) or the
+  /// same length as `clicks`. Dwell is the corrective signal the paper's
+  /// Section 5.2 suggests for separating purchase intent from idle
+  /// browsing.
+  std::span<const double> dwell_seconds;
 
   /// The purchased item, or kInvalidItem for a browse-only session.
   ItemId purchase = kInvalidItem;
@@ -44,9 +48,31 @@ struct Session {
   bool HasPurchase() const { return purchase != kInvalidItem; }
   bool HasDwell() const { return !dwell_seconds.empty(); }
 
-  /// Distinct clicked items other than the purchase — the session's
-  /// implied alternatives.
+  /// Distinct clicked items other than the purchase, in first-click order
+  /// — the session's implied alternatives.
   std::vector<ItemId> Alternatives() const;
+};
+
+/// \brief One consumer visit being assembled: clicked items plus at most
+/// one purchase, with the fields SessionView describes. The clickstream
+/// decoder and the session generator fill one Session per visit and
+/// reuse it for the next.
+struct Session {
+  std::vector<ItemId> clicks;
+  std::vector<double> dwell_seconds;  // empty or one per click
+  ItemId purchase = kInvalidItem;
+
+  bool HasPurchase() const { return purchase != kInvalidItem; }
+  bool HasDwell() const { return !dwell_seconds.empty(); }
+
+  /// Empties the session, keeping its capacity for the next visit.
+  void Clear() {
+    clicks.clear();
+    dwell_seconds.clear();
+    purchase = kInvalidItem;
+  }
+
+  operator SessionView() const { return {clicks, dwell_seconds, purchase}; }
 };
 
 /// \brief Bidirectional mapping between external item names (SKUs) and

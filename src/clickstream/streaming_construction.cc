@@ -59,7 +59,7 @@ void StreamingGraphBuilder::AddPairMass(uint64_t key, double mass) {
   }
 }
 
-void StreamingGraphBuilder::AddSession(const Session& session) {
+void StreamingGraphBuilder::AddSession(const SessionView& session) {
   ++sessions_seen_;
   if (!session.HasPurchase()) return;
   PREFCOVER_DCHECK(!session.HasDwell() ||
@@ -159,13 +159,12 @@ Result<PreferenceGraph> BuildPreferenceGraphStreaming(
   uint64_t rows = 0;
   PREFCOVER_RETURN_NOT_OK(DecodeClickstreamCsv(
       events, &dictionary,
-      [&options, &builder, &rows](std::string_view, Session* session) {
+      [&options, &builder, &rows](std::string_view, const Session& session) {
         obs::Span flush_span("clickstream.flush", "clickstream");
-        flush_span.Arg("clicks",
-                       static_cast<uint64_t>(session->clicks.size()));
+        flush_span.Arg("clicks", static_cast<uint64_t>(session.clicks.size()));
         // Every record is one click or the purchase.
-        rows += session->clicks.size() + (session->HasPurchase() ? 1 : 0);
-        builder.AddSession(*session);
+        rows += session.clicks.size() + (session.HasPurchase() ? 1 : 0);
+        builder.AddSession(session);
         // Session boundaries are the construction's round boundaries:
         // cheap (one flag read per session, not per row) and always at a
         // consistent point — no half-consumed session ever reaches the

@@ -43,7 +43,7 @@ class StreamingGraphBuilder {
 
   /// Counts one session. Its item ids must come from the dictionary later
   /// passed to Finish. Sessions without a purchase count only as sessions.
-  void AddSession(const Session& session);
+  void AddSession(const SessionView& session);
 
   /// Observed totals so far.
   uint64_t sessions_seen() const { return sessions_seen_; }

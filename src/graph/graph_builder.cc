@@ -1,11 +1,40 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 #include <utility>
 
 namespace prefcover {
+
+namespace {
+
+// The ids 0..n-1 ordered by ascending keys[id], equal keys by ascending
+// id: a stable LSD radix sort of the ids, one key byte per pass, that
+// skips every byte all keys share.
+std::vector<NodeId> RadixOrder(const std::vector<uint64_t>& keys) {
+  const size_t n = keys.size();
+  std::vector<NodeId> order(n), scratch(n);
+  for (size_t v = 0; v < n; ++v) order[v] = static_cast<NodeId>(v);
+  std::array<std::array<size_t, 256>, 8> counts{};
+  for (uint64_t key : keys) {
+    for (size_t b = 0; b < 8; ++b) ++counts[b][(key >> (8 * b)) & 0xFFu];
+  }
+  for (size_t b = 0; b < 8; ++b) {
+    std::array<size_t, 256>& start = counts[b];
+    const size_t shift = 8 * b;
+    if (n == 0 || start[(keys[0] >> shift) & 0xFFu] == n) continue;
+    size_t sum = 0;
+    for (size_t& count : start) sum += std::exchange(count, sum);
+    for (NodeId v : order) scratch[start[(keys[v] >> shift) & 0xFFu]++] = v;
+    order.swap(scratch);
+  }
+  return order;
+}
+
+}  // namespace
 
 void GraphBuilder::Reserve(size_t num_nodes, size_t num_edges) {
   node_weights_.reserve(num_nodes);
@@ -222,12 +251,14 @@ Result<PreferenceGraph> GraphBuilder::FinalizeCsr(
   // Static gain-bound index (see PreferenceGraph::StaticGainBounds):
   // bound(v) = W(v) + sum_{(u,v), u != v} W(u) * W(u,v), over the in-CSR
   // just built, plus the descending-bound node order. One O(m) pass and
-  // one O(n log n) sort at build time buys the solvers a seed scan that
+  // one O(n) radix sort at build time buy the solvers a seed scan that
   // can stop after the plausible candidates instead of touching every
   // edge (ties order by ascending id, so the index is deterministic).
   g.static_gain_bounds_.resize(n);
-  g.bound_order_.resize(n);
-  std::vector<std::pair<double, NodeId>> by_bound(n);
+  // Validation left every bound finite and >= 0, whose bit patterns order
+  // like the values once -0.0 reads as +0.0; the complement turns
+  // descending bounds into ascending keys.
+  std::vector<uint64_t> keys(n);
   for (size_t v = 0; v < n; ++v) {
     double bound = g.node_weights_[v];
     for (size_t i = g.in_offsets_[v]; i < g.in_offsets_[v + 1]; ++i) {
@@ -236,15 +267,9 @@ Result<PreferenceGraph> GraphBuilder::FinalizeCsr(
       bound += g.node_weights_[u] * g.in_weights_[i];
     }
     g.static_gain_bounds_[v] = bound;
-    by_bound[v] = {bound, static_cast<NodeId>(v)};
+    keys[v] = ~std::bit_cast<uint64_t>(bound == 0.0 ? 0.0 : bound);
   }
-  // Sorting (bound, id) pairs keeps the comparisons off the bounds array.
-  std::sort(by_bound.begin(), by_bound.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  for (size_t i = 0; i < n; ++i) g.bound_order_[i] = by_bound[i].second;
+  g.bound_order_ = RadixOrder(keys);
 
   g.digest_ = digest.has_value() && !reordered ? *digest : g.ComputeDigest();
   return g;

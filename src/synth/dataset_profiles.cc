@@ -1,6 +1,7 @@
 #include "synth/dataset_profiles.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "synth/preference_model.h"
 #include "synth/session_generator.h"
@@ -149,8 +150,8 @@ Result<PreferenceGraph> GenerateProfileGraphWithNodes(DatasetProfile profile,
       PreferenceModel model,
       PreferenceModel::Build(&catalog, MakeModelParams(spec), &rng));
   // The graph is self-contained (owns its arrays); the catalog and model
-  // can be dropped.
-  return model.graph();
+  // can be dropped, so it moves out instead of being copied.
+  return std::move(model).graph();
 }
 
 namespace {

@@ -21,6 +21,7 @@
 #define PREFCOVER_SYNTH_PREFERENCE_MODEL_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/preference_graph.h"
@@ -89,7 +90,9 @@ class PreferenceModel {
                                        Rng* rng);
 
   /// The true preference graph (nodes = catalog items, in catalog order).
-  const PreferenceGraph& graph() const { return graph_; }
+  const PreferenceGraph& graph() const& { return graph_; }
+  /// Moves the graph out of a model that is about to go.
+  PreferenceGraph graph() && { return std::move(graph_); }
   const Catalog& catalog() const { return *catalog_; }
   bool normalized() const { return normalized_; }
 

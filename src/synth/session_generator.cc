@@ -44,8 +44,10 @@ Result<Clickstream> GenerateSessions(const PreferenceModel& model,
                               graph.NodeWeights().end());
   AliasSampler popularity(weights);
 
+  // One Session, cleared per visit, carries each one into the clickstream.
+  Session session;
   for (uint64_t s = 0; s < params.num_sessions; ++s) {
-    Session session;
+    session.Clear();
     if (rng->NextBernoulli(params.browse_only_share)) {
       // Browse-only: clicks on popular items, no purchase.
       uint64_t clicks = rng->NextPoisson(params.browse_clicks_mean);
@@ -53,7 +55,7 @@ Result<Clickstream> GenerateSessions(const PreferenceModel& model,
       for (uint64_t c = 0; c < clicks; ++c) {
         push_click(&session, popularity.Sample(rng), kNoiseDwellMean, rng);
       }
-      clickstream.AddSession(std::move(session));
+      clickstream.AddSession(session);
       continue;
     }
 
@@ -96,7 +98,7 @@ Result<Clickstream> GenerateSessions(const PreferenceModel& model,
         break;
       }
     }
-    clickstream.AddSession(std::move(session));
+    clickstream.AddSession(session);
   }
   return clickstream;
 }

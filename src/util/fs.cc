@@ -121,22 +121,44 @@ Result<std::string> ReadFileToString(const std::string& path) {
 }
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  // Table generated once, on first use, from the reflected polynomial.
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> table{};
+  // Slicing-by-8 tables, generated once, on first use, from the reflected
+  // polynomial: kTables[0] is the bytewise table, and kTables[k][b] is
+  // the CRC of byte b followed by k zero bytes, so one step folds eight
+  // input bytes through eight independent lookups.
+  static const std::array<std::array<uint32_t, 256>, 8> kTables = [] {
+    std::array<std::array<uint32_t, 256>, 8> tables{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      table[i] = c;
+      tables[0][i] = c;
     }
-    return table;
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = tables[k - 1][i];
+        tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+      }
+    }
+    return tables;
   }();
+  const auto& t = kTables;
+  // Little-endian 32-bit load, whatever the host's byte order.
+  auto load32 = [](const unsigned char* b) {
+    return uint32_t{b[0]} | uint32_t{b[1]} << 8 | uint32_t{b[2]} << 16 |
+           uint32_t{b[3]} << 24;
+  };
   uint32_t crc = ~seed;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; size -= 8, p += 8) {
+    const uint32_t lo = crc ^ load32(p);
+    const uint32_t hi = load32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++p) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -148,7 +148,7 @@ TEST(DwellCsvTest, RoundTripPreservesDwell) {
   auto read = ReadClickstreamCsv(&in);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   ASSERT_EQ(read->NumSessions(), cs.NumSessions());
-  const Session& s = read->sessions()[0];
+  const SessionView s = read->session(0);
   ASSERT_TRUE(s.HasDwell());
   EXPECT_DOUBLE_EQ(s.dwell_seconds[0], 60.0);
   EXPECT_DOUBLE_EQ(s.dwell_seconds[1], 2.0);
@@ -220,7 +220,7 @@ TEST(DwellGeneratorTest, EmitsDwellWithIntentStructure) {
   const PreferenceGraph& truth = model->graph();
   double alt_sum = 0.0, noise_sum = 0.0;
   size_t alt_n = 0, noise_n = 0;
-  for (const Session& s : cs->sessions()) {
+  for (const SessionView s : cs->sessions()) {
     ASSERT_EQ(s.dwell_seconds.size(), s.clicks.size());
     if (!s.HasPurchase()) continue;
     for (size_t i = 0; i < s.clicks.size(); ++i) {

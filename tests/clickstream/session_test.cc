@@ -14,27 +14,27 @@ TEST(SessionTest, AlternativesExcludePurchase) {
   Session s;
   s.clicks = {3, 1, 3, 2, 1};
   s.purchase = 1;
-  EXPECT_EQ(s.Alternatives(), (std::vector<ItemId>{3, 2}));
+  EXPECT_EQ(SessionView(s).Alternatives(), (std::vector<ItemId>{3, 2}));
 }
 
 TEST(SessionTest, AlternativesDedupePreservingOrder) {
   Session s;
   s.clicks = {5, 4, 5, 4, 6};
   s.purchase = 9;
-  EXPECT_EQ(s.Alternatives(), (std::vector<ItemId>{5, 4, 6}));
+  EXPECT_EQ(SessionView(s).Alternatives(), (std::vector<ItemId>{5, 4, 6}));
 }
 
 TEST(SessionTest, NoPurchaseSession) {
   Session s;
   s.clicks = {1, 2};
   EXPECT_FALSE(s.HasPurchase());
-  EXPECT_EQ(s.Alternatives(), (std::vector<ItemId>{1, 2}));
+  EXPECT_EQ(SessionView(s).Alternatives(), (std::vector<ItemId>{1, 2}));
 }
 
 TEST(SessionTest, EmptySession) {
   Session s;
   EXPECT_FALSE(s.HasPurchase());
-  EXPECT_TRUE(s.Alternatives().empty());
+  EXPECT_TRUE(SessionView(s).Alternatives().empty());
 }
 
 TEST(ItemDictionaryTest, InternAssignsDenseIds) {

@@ -101,12 +101,15 @@ TEST(StreamingParityTest, SameDigestOnEveryProfileVariantAndDwell) {
       Clickstream source;
       *source.mutable_dictionary() = cs->dictionary();
       Rng rng(17);
-      for (Session session : cs->sessions()) {
+      for (const SessionView view : cs->sessions()) {
+        Session session;
+        session.clicks.assign(view.clicks.begin(), view.clicks.end());
+        session.purchase = view.purchase;
         for (size_t c = 0; with_dwell && c < session.clicks.size(); ++c) {
           session.dwell_seconds.push_back(
               rng.NextBernoulli(0.1) ? -1.0 : rng.NextDouble(0.0, 40.0));
         }
-        source.AddSession(std::move(session));
+        source.AddSession(session);
       }
       std::ostringstream out;
       ASSERT_TRUE(WriteClickstreamCsv(source, &out).ok());
@@ -140,7 +143,10 @@ Clickstream WithDwellAndRepeats(const Clickstream& source, uint64_t seed) {
   Clickstream copy;
   *copy.mutable_dictionary() = source.dictionary();
   Rng rng(seed);
-  for (Session session : source.sessions()) {
+  for (const SessionView view : source.sessions()) {
+    Session session;
+    session.clicks.assign(view.clicks.begin(), view.clicks.end());
+    session.purchase = view.purchase;
     const size_t clicks = session.clicks.size();
     for (size_t c = 0; c < clicks; ++c) {
       if (rng.NextBernoulli(0.3)) {
@@ -151,7 +157,7 @@ Clickstream WithDwellAndRepeats(const Clickstream& source, uint64_t seed) {
       session.dwell_seconds.push_back(
           rng.NextBernoulli(0.1) ? -1.0 : rng.NextDouble(0.0, 40.0));
     }
-    copy.AddSession(std::move(session));
+    copy.AddSession(session);
   }
   return copy;
 }

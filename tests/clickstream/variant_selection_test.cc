@@ -15,16 +15,16 @@ namespace prefcover {
 namespace {
 
 // The measure as first written: one scan of the item's sessions, each
-// copying Session::Alternatives(), per pair of capped alternatives. The
-// two-pass IndependenceMeasure must match it bit for bit.
+// copying SessionView::Alternatives(), per pair of capped alternatives.
+// The two-pass IndependenceMeasure must match it bit for bit.
 double ReferenceIndependenceMeasure(const Clickstream& clickstream,
                                     size_t max_alternatives_per_item) {
   // Group purchase sessions by purchased item.
-  std::unordered_map<ItemId, std::vector<const Session*>> by_purchase;
+  std::unordered_map<ItemId, std::vector<SessionView>> by_purchase;
   uint64_t total_purchases = 0;
-  for (const Session& session : clickstream.sessions()) {
+  for (const SessionView session : clickstream.sessions()) {
     if (!session.HasPurchase()) continue;
-    by_purchase[session.purchase].push_back(&session);
+    by_purchase[session.purchase].push_back(session);
     ++total_purchases;
   }
   if (total_purchases == 0) return 0.0;
@@ -33,8 +33,8 @@ double ReferenceIndependenceMeasure(const Clickstream& clickstream,
   for (const auto& [item, sessions] : by_purchase) {
     // Click frequency per alternative of this item.
     std::unordered_map<ItemId, uint64_t> click_count;
-    for (const Session* s : sessions) {
-      for (ItemId alt : s->Alternatives()) ++click_count[alt];
+    for (const SessionView& s : sessions) {
+      for (ItemId alt : s.Alternatives()) ++click_count[alt];
     }
     if (click_count.size() < 2) continue;  // no pairs -> contributes 0
 
@@ -56,8 +56,8 @@ double ReferenceIndependenceMeasure(const Clickstream& clickstream,
     for (size_t i = 0; i < top.size(); ++i) {
       for (size_t j = i + 1; j < top.size(); ++j) {
         uint64_t counts[2][2] = {{0, 0}, {0, 0}};
-        for (const Session* s : sessions) {
-          std::vector<ItemId> alts = s->Alternatives();
+        for (const SessionView& s : sessions) {
+          std::vector<ItemId> alts = s.Alternatives();
           bool a = std::find(alts.begin(), alts.end(), top[i].first) !=
                    alts.end();
           bool b = std::find(alts.begin(), alts.end(), top[j].first) !=
@@ -111,13 +111,13 @@ Clickstream MakeStream(
 
 // ComputeStats counts each purchase session's distinct alternatives in
 // place; it must agree with the count taken through
-// Session::Alternatives().size().
+// SessionView::Alternatives().size().
 void ExpectStatsMatchAlternatives(const Clickstream& cs,
                                   const std::string& label) {
   size_t purchases = 0;
   size_t alternative_total = 0;
   size_t at_most_one = 0;
-  for (const Session& session : cs.sessions()) {
+  for (const SessionView session : cs.sessions()) {
     if (!session.HasPurchase()) continue;
     ++purchases;
     const size_t alts = session.Alternatives().size();

@@ -1,8 +1,16 @@
 #include "graph/graph_builder.h"
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/preference_graph.h"
+#include "util/random.h"
 
 namespace prefcover {
 namespace {
@@ -252,6 +260,76 @@ TEST(PreferenceGraphTest, StaticGainBoundIndex) {
   EXPECT_EQ(order[1], n3);
   EXPECT_EQ(order[2], n0);
   EXPECT_EQ(order[3], n1);
+}
+
+// The bound order by a test-local std::sort: descending bound, ties by
+// ascending id (-0.0 compares equal to +0.0).
+std::vector<NodeId> SortedBoundOrder(const PreferenceGraph& g) {
+  std::vector<NodeId> order(g.NumNodes());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  const auto bounds = g.StaticGainBounds();
+  std::sort(order.begin(), order.end(), [&bounds](NodeId a, NodeId b) {
+    if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
+    return a < b;
+  });
+  return order;
+}
+
+// Seeded graphs whose weights come from a few levels, so many bounds tie;
+// every fourth has all-zero node weights, and every other one gives a node
+// without in-edges the weight -0.0, whose bound keeps the sign.
+TEST(PreferenceGraphTest, BoundOrderMatchesASortOnSeededGraphs) {
+  const double kNodeLevels[] = {0.0, 0.125, 0.25, 0.5};
+  const double kEdgeLevels[] = {0.25, 0.5, 1.0};
+  Rng rng(41);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t n = 2 + rng.NextBounded(400);
+    const bool all_zero = trial % 4 == 0;
+    const bool negative_zero = trial % 2 == 1;
+    GraphBuilder b;
+    for (size_t v = 0; v < n; ++v) {
+      b.AddNode(all_zero ? 0.0 : kNodeLevels[rng.NextBounded(4)]);
+    }
+    if (negative_zero) {
+      ASSERT_TRUE(b.SetNodeWeight(0, -0.0).ok());
+    }
+    std::set<std::pair<NodeId, NodeId>> added;
+    const size_t edges = rng.NextBounded(3 * n);
+    for (size_t e = 0; e < edges; ++e) {
+      const NodeId from = static_cast<NodeId>(rng.NextBounded(n));
+      const NodeId to = static_cast<NodeId>(rng.NextBounded(n));
+      if (from == to || (negative_zero && to == 0) ||
+          !added.emplace(from, to).second) {
+        continue;
+      }
+      ASSERT_TRUE(b.AddEdge(from, to, kEdgeLevels[rng.NextBounded(3)]).ok());
+    }
+    GraphValidationOptions options;
+    options.require_normalized_node_weights = false;
+    auto g = b.Finalize(options);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    if (negative_zero) {
+      EXPECT_TRUE(std::signbit(g->StaticGainBounds()[0]));
+    }
+    const auto order = g->NodesByStaticGainBound();
+    EXPECT_TRUE(std::ranges::equal(order, SortedBoundOrder(*g)))
+        << "trial " << trial << " n " << n;
+  }
+}
+
+TEST(PreferenceGraphTest, BoundOrderOfZeroAndOneNodes) {
+  GraphValidationOptions options;
+  options.require_normalized_node_weights = false;
+  GraphBuilder empty;
+  auto g0 = empty.Finalize(options);
+  ASSERT_TRUE(g0.ok());
+  EXPECT_TRUE(g0->NodesByStaticGainBound().empty());
+  GraphBuilder one;
+  one.AddNode(1.0);
+  auto g1 = one.Finalize(options);
+  ASSERT_TRUE(g1.ok());
+  ASSERT_EQ(g1->NodesByStaticGainBound().size(), 1u);
+  EXPECT_EQ(g1->NodesByStaticGainBound()[0], 0u);
 }
 
 TEST(PreferenceGraphTest, StaticGainBoundSkipsSelfLoops) {

@@ -255,14 +255,17 @@ std::string SmallProfileCsv(DatasetProfile profile, bool with_dwell,
   *small.mutable_dictionary() = full->dictionary();
   Rng rng(seed);
   for (size_t i = 0; i < 24 && i < full->NumSessions(); ++i) {
-    Session session = full->sessions()[i];
+    const SessionView view = full->session(i);
+    Session session;
+    session.clicks.assign(view.clicks.begin(), view.clicks.end());
+    session.purchase = view.purchase;
     if (with_dwell) {
       for (size_t c = 0; c < session.clicks.size(); ++c) {
         session.dwell_seconds.push_back(
             rng.NextBernoulli(0.2) ? -1.0 : rng.NextDouble(0.0, 60.0));
       }
     }
-    small.AddSession(std::move(session));
+    small.AddSession(session);
   }
   std::ostringstream out;
   PREFCOVER_CHECK(WriteClickstreamCsv(small, &out).ok());

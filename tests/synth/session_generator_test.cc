@@ -1,5 +1,7 @@
 #include "synth/session_generator.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 namespace prefcover {
@@ -73,7 +75,7 @@ TEST(SessionGeneratorTest, PurchaseFrequencyTracksPopularity) {
   auto cs = GenerateSessions(model, params, &rng);
   ASSERT_TRUE(cs.ok());
   std::vector<uint64_t> counts(model.graph().NumNodes(), 0);
-  for (const Session& s : cs->sessions()) {
+  for (const SessionView s : cs->sessions()) {
     if (s.HasPurchase()) ++counts[s.purchase];
   }
   // Compare empirical shares against model weights for heavy items.
@@ -95,7 +97,7 @@ TEST(SessionGeneratorTest, SingleAlternativeBehaviorClicksAtMostOne) {
       SessionGeneratorParams::ClickBehavior::kSingleAlternative;
   auto cs = GenerateSessions(model, params, &rng);
   ASSERT_TRUE(cs.ok());
-  for (const Session& s : cs->sessions()) {
+  for (const SessionView s : cs->sessions()) {
     EXPECT_LE(s.Alternatives().size(), 1u);
   }
   // The Normalized fit measure must see this as a perfect fit.
@@ -112,7 +114,7 @@ TEST(SessionGeneratorTest, IndependentBehaviorProducesMultiClickSessions) {
   auto cs = GenerateSessions(model, params, &rng);
   ASSERT_TRUE(cs.ok());
   size_t multi = 0;
-  for (const Session& s : cs->sessions()) {
+  for (const SessionView s : cs->sessions()) {
     if (s.Alternatives().size() > 1) ++multi;
   }
   EXPECT_GT(multi, 100u);  // plenty of multi-alternative sessions
@@ -127,7 +129,7 @@ TEST(SessionGeneratorTest, ClickPurchaseShareRespected) {
   params.click_purchase_share = 1.0;
   auto cs = GenerateSessions(model, params, &rng);
   ASSERT_TRUE(cs.ok());
-  for (const Session& s : cs->sessions()) {
+  for (const SessionView s : cs->sessions()) {
     ASSERT_TRUE(s.HasPurchase());
     EXPECT_EQ(s.clicks.empty() ? kInvalidItem : s.clicks[0], s.purchase);
   }
@@ -156,8 +158,9 @@ TEST(SessionGeneratorTest, DeterministicInSeed) {
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_EQ(a->NumSessions(), b->NumSessions());
   for (size_t i = 0; i < a->NumSessions(); ++i) {
-    EXPECT_EQ(a->sessions()[i].purchase, b->sessions()[i].purchase);
-    EXPECT_EQ(a->sessions()[i].clicks, b->sessions()[i].clicks);
+    EXPECT_EQ(a->session(i).purchase, b->session(i).purchase);
+    EXPECT_TRUE(
+        std::ranges::equal(a->session(i).clicks, b->session(i).clicks));
   }
 }
 

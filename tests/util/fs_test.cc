@@ -2,13 +2,18 @@
 
 #include <unistd.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/random.h"
 
 namespace prefcover {
 namespace {
@@ -122,6 +127,46 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
     flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
     EXPECT_NE(Crc32(flipped.data(), flipped.size()), clean)
         << "flip at byte " << i;
+  }
+}
+
+// The table-per-byte CRC-32 that Crc32 computed before slicing by eight,
+// written apart from it: one lookup per byte.
+uint32_t BytewiseCrc32(const unsigned char* data, size_t size,
+                       uint32_t seed) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      table[i] = c;
+    }
+    return table;
+  }();
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc = kTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+// Every length from 0 to 2,048 at every start offset 0-7 (so each
+// eight-byte step meets every alignment and every tail length), from a
+// zero seed and from a chained one.
+TEST(Crc32Test, MatchesABytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(29);
+  std::vector<unsigned char> bytes(2048 + 8);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.NextUint64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 2048; ++size) {
+      const unsigned char* data = bytes.data() + offset;
+      const uint32_t seed =
+          size % 2 == 0 ? 0u : static_cast<uint32_t>(rng.NextUint64());
+      ASSERT_EQ(Crc32(data, size, seed), BytewiseCrc32(data, size, seed))
+          << "offset " << offset << " size " << size << " seed " << seed;
+    }
   }
 }
 
