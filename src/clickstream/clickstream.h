@@ -44,8 +44,8 @@ class Clickstream {
  public:
   Clickstream() = default;
 
-  /// Appends a copy of `session`. Item ids must come from
-  /// mutable_dictionary().
+  /// Appends a copy of `session`, which must not view this clickstream.
+  /// Item ids must come from mutable_dictionary().
   void AddSession(const SessionView& session);
 
   /// Pre-sizes the per-session arrays.

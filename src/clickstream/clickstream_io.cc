@@ -43,17 +43,19 @@ Status WriteClickstreamCsv(const Clickstream& clickstream,
           dwell = dwell_buf;
         }
         writer.WriteRecord(
-            {sid, "click", dict.Name(session.clicks[i]), dwell});
+            {sid, "click", std::string(dict.Name(session.clicks[i])), dwell});
       } else {
-        writer.WriteRecord({sid, "click", dict.Name(session.clicks[i])});
+        writer.WriteRecord(
+            {sid, "click", std::string(dict.Name(session.clicks[i]))});
       }
     }
     if (session.HasPurchase()) {
       if (any_dwell) {
-        writer.WriteRecord({sid, "purchase", dict.Name(session.purchase),
-                            ""});
+        writer.WriteRecord(
+            {sid, "purchase", std::string(dict.Name(session.purchase)), ""});
       } else {
-        writer.WriteRecord({sid, "purchase", dict.Name(session.purchase)});
+        writer.WriteRecord(
+            {sid, "purchase", std::string(dict.Name(session.purchase))});
       }
     }
   }

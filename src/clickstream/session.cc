@@ -31,14 +31,14 @@ size_t ItemDictionary::Find(std::string_view name, uint32_t tag) const {
   for (size_t i = tag & mask;; i = (i + 1) & mask) {
     const Slot& slot = slots_[i];
     if (slot.id == kInvalidItem ||
-        (slot.tag == tag && names_[slot.id] == name)) {
+        (slot.tag == tag && NameAt(slot.id) == name)) {
       return i;
     }
   }
 }
 
 ItemId ItemDictionary::Intern(std::string_view name) {
-  if (2 * (names_.size() + 1) > slots_.size()) {
+  if (2 * (size() + 1) > slots_.size()) {
     // Double the table (from 1024 slots) and re-place every id from its
     // tag, which is where its probe starts, without rehashing a name.
     std::vector<Slot> old(std::max<size_t>(1024, 2 * slots_.size()));
@@ -54,10 +54,10 @@ ItemId ItemDictionary::Intern(std::string_view name) {
   const uint32_t tag = NameTag(name);
   Slot& slot = slots_[Find(name, tag)];
   if (slot.id == kInvalidItem) {
-    PREFCOVER_CHECK_MSG(names_.size() < kInvalidItem,
-                        "item dictionary is full");
-    slot = {static_cast<ItemId>(names_.size()), tag};
-    names_.emplace_back(name);
+    PREFCOVER_CHECK_MSG(size() < kInvalidItem, "item dictionary is full");
+    slot = {static_cast<ItemId>(size()), tag};
+    chars_.append(name);
+    name_offsets_.push_back(chars_.size());
   }
   return slot.id;
 }
@@ -67,9 +67,9 @@ ItemId ItemDictionary::Lookup(std::string_view name) const {
   return slots_[Find(name, NameTag(name))].id;
 }
 
-const std::string& ItemDictionary::Name(ItemId id) const {
-  PREFCOVER_CHECK(id < names_.size());
-  return names_[id];
+std::string_view ItemDictionary::Name(ItemId id) const {
+  PREFCOVER_CHECK(id < size());
+  return NameAt(id);
 }
 
 }  // namespace prefcover

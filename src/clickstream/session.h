@@ -90,13 +90,14 @@ class ItemDictionary {
   /// Id of `name` or kInvalidItem when unknown.
   ItemId Lookup(std::string_view name) const;
 
-  /// Name of an interned id.
-  const std::string& Name(ItemId id) const;
+  /// Name of an interned id, as a view into the dictionary that the next
+  /// Intern may invalidate.
+  std::string_view Name(ItemId id) const;
 
-  size_t size() const { return names_.size(); }
+  size_t size() const { return name_offsets_.size() - 1; }
 
  private:
-  /// One slot of the table: an id of names_ (kInvalidItem when empty)
+  /// One slot of the table: an interned id (kInvalidItem when empty)
   /// and its name's 32-bit hash, the tag. A probe starts at the tag's
   /// low bits and passes over other names by their tags, rarely reading
   /// one.
@@ -109,7 +110,20 @@ class ItemDictionary {
   /// empty slot that ends its probe. The table must not be empty.
   size_t Find(std::string_view name, uint32_t tag) const;
 
-  std::vector<std::string> names_;
+  /// Name `id` without the bounds check.
+  std::string_view NameAt(size_t id) const {
+    return {chars_.data() + name_offsets_[id],
+            name_offsets_[id + 1] - name_offsets_[id]};
+  }
+
+  // The names back to back, name i at [name_offsets_[i],
+  // name_offsets_[i + 1]) of chars_: a name costs its bytes and one
+  // offset, not a 32-byte string object, and growing copies bytes. The
+  // in-memory reader's table of every session id (2M at paper scale) is
+  // the largest dictionary, and with a vector of strings it set the
+  // reader's peak memory.
+  std::string chars_;
+  std::vector<size_t> name_offsets_{0};  // size() + 1
   std::vector<Slot> slots_;  // power-of-two size, at most half full
 };
 

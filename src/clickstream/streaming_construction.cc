@@ -4,6 +4,7 @@
 #include <bit>
 #include <fstream>
 #include <istream>
+#include <string>
 
 #include "clickstream/clickstream_io.h"
 #include "graph/graph_builder.h"
@@ -126,7 +127,7 @@ Result<PreferenceGraph> StreamingGraphBuilder::Finish(
         item < purchase_count_.size() ? purchase_count_[item] : 0;
     builder.AddNode(static_cast<double>(purchases) /
                         static_cast<double>(purchases_seen_),
-                    dictionary.Name(item));
+                    std::string(dictionary.Name(item)));
   }
   for (const auto& [key, mass] : pair_mass_) {
     if (key == kEmptyPair) continue;

@@ -158,7 +158,9 @@ uint32_t BytewiseCrc32(const unsigned char* data, size_t size,
 TEST(Crc32Test, MatchesABytewiseReferenceAtEveryLengthAndOffset) {
   Rng rng(29);
   std::vector<unsigned char> bytes(2048 + 8);
-  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.NextUint64());
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.NextUint64());
+  }
   for (size_t offset = 0; offset < 8; ++offset) {
     for (size_t size = 0; size <= 2048; ++size) {
       const unsigned char* data = bytes.data() + offset;
